@@ -1,10 +1,9 @@
 //! Per-dataset derived artifacts, computed once and shared.
 //!
 //! A [`DatasetArtifacts`] is the cache home for everything derivable from
-//! one immutable point set: global mean and covariance, per-direction
-//! variances, scaling statistics, the VA-file of the baseline filter.
-//! The store is type-erased ([`ArtifactStore`]) so downstream crates
-//! (`hinn-core`, `hinn-baselines`) can park their own artifact types here
+//! one immutable point set: the VA-file of the baseline filter, the HNSW
+//! candidate graph. The store is type-erased ([`ArtifactStore`]) so
+//! downstream crates (`hinn-core`, `hinn-baselines`) can park their own artifact types here
 //! without this crate depending on them — keys are a static name plus a
 //! `u64` parameter (e.g. `("baselines.vafile", bits)`).
 //!

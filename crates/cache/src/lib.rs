@@ -23,8 +23,8 @@
 //! - [`pool`]: thread-local reuse of `Vec<f64>` scratch buffers for the
 //!   KDE hot loop (`p × p` partial grids and kernel row/column scratch).
 //! - [`DatasetArtifacts`]/[`ArtifactStore`]: a per-dataset store of
-//!   derived artifacts (global mean/covariance, per-direction variances,
-//!   scaling statistics, the VA-file), computed once and shared via `Arc`
+//!   derived artifacts (the VA-file, the HNSW graph), computed once and
+//!   shared via `Arc`
 //!   across all queries of a batch and across repeated sessions on the
 //!   same dataset (a bounded process-global registry keyed by the dataset
 //!   fingerprint).

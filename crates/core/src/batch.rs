@@ -176,22 +176,16 @@ impl QueryReport {
     }
 }
 
-/// The batch's data: an epoch snapshot pinned at construction, or a
-/// borrowed slice through the deprecated shim.
-enum BatchStore<'a> {
-    Slice(&'a [Vec<f64>]),
-    Epoch(Arc<EpochSnapshot>),
-}
-
 /// Multi-query driver (see module docs).
-pub struct BatchRunner<'a> {
-    store: BatchStore<'a>,
+pub struct BatchRunner {
+    /// The epoch snapshot pinned at construction.
+    snap: Arc<EpochSnapshot>,
     config: SearchConfig,
     budget: Parallelism,
     cache: Arc<SessionCache>,
 }
 
-impl<'a> BatchRunner<'a> {
+impl BatchRunner {
     /// Create a runner pinned to `data`'s *current* epoch with the shared
     /// `config`. Rows appended or deleted after construction do not affect
     /// the batch — every query of the batch sees the same snapshot. The
@@ -210,7 +204,7 @@ impl<'a> BatchRunner<'a> {
         let budget = config.parallelism;
         let cache = Arc::new(SessionCache::new(config.cache));
         Self {
-            store: BatchStore::Epoch(snap),
+            snap,
             config,
             budget,
             cache,
@@ -218,29 +212,9 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// The epoch the batch is pinned to: `(epoch counter, chained
-    /// fingerprint)`. `None` for slice-backed runners.
-    pub fn dataset_epoch(&self) -> Option<(u64, Fingerprint)> {
-        match &self.store {
-            BatchStore::Epoch(snap) => Some((snap.epoch(), snap.fingerprint())),
-            BatchStore::Slice(_) => None,
-        }
-    }
-
-    /// Create a runner over a borrowed slice — the pre-epoch shim.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use BatchRunner::new with a DatasetHandle (or BatchRunner::at with an EpochSnapshot)"
-    )]
-    pub fn from_slice(points: &'a [Vec<f64>], config: SearchConfig) -> Self {
-        config.validate();
-        let budget = config.parallelism;
-        let cache = Arc::new(SessionCache::new(config.cache));
-        Self {
-            store: BatchStore::Slice(points),
-            config,
-            budget,
-            cache,
-        }
+    /// fingerprint)`.
+    pub fn dataset_epoch(&self) -> (u64, Fingerprint) {
+        (self.snap.epoch(), self.snap.fingerprint())
     }
 
     /// The cache shared across the batch's sessions (e.g. to pre-warm it,
@@ -324,7 +298,7 @@ impl<'a> BatchRunner<'a> {
                     let first = run_guarded(
                         &session_config,
                         &self.cache,
-                        &self.store,
+                        &self.snap,
                         &queries[i],
                         &make_user,
                     );
@@ -351,7 +325,7 @@ impl<'a> BatchRunner<'a> {
                             match run_guarded(
                                 &degraded_config,
                                 &self.cache,
-                                &self.store,
+                                &self.snap,
                                 &queries[i],
                                 &make_user,
                             ) {
@@ -415,7 +389,7 @@ impl<'a> BatchRunner<'a> {
 fn run_guarded<F>(
     config: &SearchConfig,
     cache: &Arc<SessionCache>,
-    store: &BatchStore<'_>,
+    snap: &Arc<EpochSnapshot>,
     query: &[f64],
     make_user: &F,
 ) -> Result<SearchOutcome, HinnError>
@@ -425,16 +399,9 @@ where
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let engine = InteractiveSearch::try_new(config.clone())?.with_session_cache(cache.clone());
         let mut user = make_user();
-        let run = match store {
-            BatchStore::Epoch(snap) => {
-                engine.run_at(snap.clone(), query, user.as_mut(), RunOptions::default())
-            }
-            #[allow(deprecated)]
-            BatchStore::Slice(points) => {
-                engine.run_with_slice(points, query, user.as_mut(), RunOptions::default())
-            }
-        };
-        run.map(RunOutput::into_outcome)
+        engine
+            .run_at(snap.clone(), query, user.as_mut(), RunOptions::default())
+            .map(RunOutput::into_outcome)
     }));
     match attempt {
         Ok(result) => result,
@@ -586,36 +553,17 @@ mod tests {
     }
 
     #[test]
-    fn slice_shim_matches_the_epoch_runner() {
-        let pts = workload();
-        let queries: Vec<Vec<f64>> = (0..3).map(|i| pts[i * 11].clone()).collect();
-        let epoch = BatchRunner::new(&handle(&pts), config())
-            .run(&queries, || Box::new(HeuristicUser::default()));
-        #[allow(deprecated)]
-        let slice = BatchRunner::from_slice(&pts, config())
-            .run(&queries, || Box::new(HeuristicUser::default()));
-        for (a, b) in epoch.iter().zip(&slice) {
-            assert_eq!(a.neighbors(), b.neighbors());
-            assert_eq!(a.majors_run(), b.majors_run());
-            assert_eq!(a.views(), b.views());
-        }
-    }
-
-    #[test]
     fn runner_is_pinned_to_the_epoch_it_was_built_at() {
         let pts = workload();
         let dh = handle(&pts);
         let runner = BatchRunner::new(&dh, config());
-        let pinned = runner.dataset_epoch().expect("epoch runner");
+        let pinned = runner.dataset_epoch();
         assert_eq!(pinned.0, dh.epoch());
         // The handle streams on; the batch still answers from its pin.
         dh.append(&[vec![1.0; 6]]).expect("append");
-        assert_eq!(runner.dataset_epoch().expect("epoch runner").1, pinned.1);
+        assert_eq!(runner.dataset_epoch(), pinned);
         let reports = runner.run(&[pts[0].clone()], || Box::new(HeuristicUser::default()));
         assert!(!reports[0].is_failed());
-        #[allow(deprecated)]
-        let slice_runner = BatchRunner::from_slice(&pts, config());
-        assert_eq!(slice_runner.dataset_epoch(), None);
     }
 
     // Fault drills that must install a *global* plan (the points fire on

@@ -167,32 +167,9 @@ impl CandidateSource {
         query: &[f64],
         s_eff: usize,
     ) -> (Vec<usize>, Option<DegradationEvent>) {
-        match self {
-            Self::Full => ((0..points.len()).collect(), None),
-            _ => {
-                let budget = self
-                    .budget()
-                    .unwrap_or(points.len())
-                    .max(s_eff)
-                    .min(points.len());
-                let mut ids = self.top_k(par, points, query, budget);
-                let floor = s_eff.max(2).min(points.len());
-                let event = (ids.len() < floor).then(|| {
-                    let detail = format!(
-                        "candidate source {:?} returned {} of {} requested ids \
-                         (< effective support {}); reseeded via exact linear scan",
-                        self,
-                        ids.len(),
-                        budget,
-                        floor,
-                    );
-                    ids = Self::Linear { budget }.top_k(par, points, query, budget);
-                    DegradationEvent::unplaced(DegradationKind::StarvedSeed, detail)
-                });
-                ids.sort_unstable();
-                (ids, event)
-            }
-        }
+        self.seed_with(par, points, query, s_eff, |budget| {
+            self.top_k(par, points, query, budget)
+        })
     }
 
     /// [`CandidateSource::seed_alive`] for a session opened over an
@@ -216,14 +193,32 @@ impl CandidateSource {
         query: &[f64],
         s_eff: usize,
     ) -> (Vec<usize>, Option<DegradationEvent>) {
-        let Self::Hnsw { params, budget } = self else {
+        match self {
+            Self::Hnsw { params, .. } => self.seed_with(par, rows, query, s_eff, |budget| {
+                Self::epoch_hnsw_ids(snap, *params, rows, query, budget)
+            }),
             // Exact sources scan the dense alive rows directly — dense
             // indices *are* the engine's point ids under an epoch store.
-            return self.seed_alive(par, rows, query, s_eff);
-        };
-        let n = rows.len();
-        let budget = (*budget).max(s_eff).min(n);
-        let mut ids = Self::epoch_hnsw_ids(snap, *params, rows, query, budget);
+            _ => self.seed_alive(par, rows, query, s_eff),
+        }
+    }
+
+    /// The clamping and starved-seed fallback shared by both seeders;
+    /// `top` returns the source's top-`budget` ids.
+    fn seed_with(
+        &self,
+        par: Parallelism,
+        points: &[Vec<f64>],
+        query: &[f64],
+        s_eff: usize,
+        top: impl FnOnce(usize) -> Vec<usize>,
+    ) -> (Vec<usize>, Option<DegradationEvent>) {
+        let n = points.len();
+        if self.is_full() {
+            return ((0..n).collect(), None);
+        }
+        let budget = self.budget().unwrap_or(n).max(s_eff).min(n);
+        let mut ids = top(budget);
         let floor = s_eff.max(2).min(n);
         let event = (ids.len() < floor).then(|| {
             let detail = format!(
@@ -234,7 +229,7 @@ impl CandidateSource {
                 budget,
                 floor,
             );
-            ids = Self::Linear { budget }.top_k(par, rows, query, budget);
+            ids = Self::Linear { budget }.top_k(par, points, query, budget);
             DegradationEvent::unplaced(DegradationKind::StarvedSeed, detail)
         });
         ids.sort_unstable();
@@ -279,19 +274,21 @@ impl CandidateSource {
         // from the predecessor epoch's graph when the registry still holds
         // it (a pure optimization — the extension is bit-identical to the
         // fallback one-shot build, so cache residency never changes ids).
-        let all = snap.all_rows();
+        // Either way the rows are gathered from the segments once: only
+        // the rows past the predecessor graph, or all of them cold.
+        let build = || {
+            snap.prev_append_fingerprint()
+                .and_then(DatasetArtifacts::lookup)
+                .and_then(|prev| prev.store().get::<Hnsw>("index.hnsw", canon.key()))
+                .map(|prev_graph| prev_graph.extended(&snap.rows_since(prev_graph.len())))
+                .unwrap_or_else(|| Hnsw::build(snap.rows_since(0), canon))
+        };
         let arts =
             DatasetArtifacts::for_fingerprint(snap.append_fingerprint(), appended, snap.dim());
         let graph = arts
             .store()
-            .get_or_insert("index.hnsw", canon.key(), || {
-                snap.prev_append_fingerprint()
-                    .and_then(DatasetArtifacts::lookup)
-                    .and_then(|prev| prev.store().get::<Hnsw>("index.hnsw", canon.key()))
-                    .map(|prev_graph| prev_graph.extended(&all))
-                    .unwrap_or_else(|| Hnsw::build(all.as_ref().clone(), canon))
-            })
-            .unwrap_or_else(|| Arc::new(Hnsw::build(all.as_ref().clone(), canon)));
+            .get_or_insert("index.hnsw", canon.key(), build)
+            .unwrap_or_else(|| Arc::new(build()));
         // Over-fetch by the tombstone count so the post-filter can still
         // deliver `budget` alive ids, then map global ids to dense ones
         // (`dense_index_of` is `None` exactly for tombstoned ids).
@@ -466,6 +463,52 @@ mod tests {
             assert!(
                 !victims.contains(&alive_ids[dense]),
                 "tombstoned id leaked into the seed"
+            );
+        }
+    }
+
+    #[test]
+    fn epoch_hnsw_graph_extends_across_appends() {
+        use hinn_data::DatasetHandle;
+        let pts = cloud(236, 5, 0x99);
+        let q = pts[17].clone();
+        // A build seed no other test uses: every graph in the registry
+        // under these params was registered by this test.
+        let params = HnswParams::default().with_seed(0xE7E7_0013);
+        let canon = HnswParams {
+            ef_search: HnswParams::default().ef_search,
+            ..params
+        };
+        let src = CandidateSource::Hnsw { params, budget: 30 };
+        let registered = |snap: &EpochSnapshot| {
+            DatasetArtifacts::lookup(snap.append_fingerprint())
+                .and_then(|arts| arts.store().get::<Hnsw>("index.hnsw", canon.key()))
+        };
+        let handle = DatasetHandle::empty(5).expect("dim");
+        let mut stop = 0;
+        for (k, len) in [120, 40, 1, 75].into_iter().enumerate() {
+            let prev = handle.snapshot();
+            if k > 0 {
+                // The predecessor's graph is still registered, so this
+                // epoch's seed extends it instead of building cold.
+                assert!(registered(&prev).is_some(), "epoch {k}: no graph to extend");
+            }
+            stop += len;
+            let snap = handle.append(&pts[stop - len..stop]).expect("clean rows");
+            let (seed, event) =
+                src.seed_alive_epoch(Parallelism::serial(), &snap, &snap.rows(), &q, 10);
+            assert!(event.is_none());
+            // The same seed as a one-shot graph over the same rows.
+            let reference = Hnsw::build(pts[..stop].to_vec(), canon);
+            let mut expected = reference.knn_with_ef(&q, 30, params.ef_search);
+            expected.sort_unstable();
+            assert_eq!(seed, expected, "epoch {k}: seed differs from a cold build");
+            let graph = registered(&snap).expect("graph registered");
+            assert_eq!(graph.len(), stop);
+            assert_eq!(
+                graph.digest(),
+                reference.digest(),
+                "epoch {k}: extended graph differs from a cold build"
             );
         }
     }

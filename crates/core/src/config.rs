@@ -79,7 +79,7 @@ pub struct SearchConfig {
     pub parallelism: Parallelism,
     /// Optional wall-clock budget per session. Checked cooperatively at
     /// minor-iteration boundaries: when exceeded,
-    /// [`crate::InteractiveSearch::try_run`] returns
+    /// [`crate::InteractiveSearch::run_with`] returns
     /// [`crate::HinnError::Deadline`] instead of a partial answer. `None`
     /// (the default) keeps the engine clock-free outside instrumentation.
     pub deadline: Option<std::time::Duration>,

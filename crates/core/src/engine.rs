@@ -1,8 +1,8 @@
 //! The sans-io session engine: the interactive loop of Fig. 2 as an
 //! explicit state machine.
 //!
-//! [`crate::InteractiveSearch::run_with`] and its legacy wrappers drive the
-//! paper's protocol through a *blocking callback*: the engine calls
+//! [`crate::InteractiveSearch::run_with`] drives the paper's protocol
+//! through a *blocking callback*: the engine calls
 //! `user.respond(...)` and waits. That shape cannot serve a real frontend —
 //! a web UI or RPC handler must own the event loop, hold thousands of
 //! half-finished sessions, and answer each user on *their* schedule. The
@@ -28,7 +28,7 @@
 //! # Equivalence to the callback loop
 //!
 //! The engine's state transitions are a line-for-line restructuring of the
-//! pre-existing `try_run` loop; `run_with` is now a thin driver over it,
+//! original callback loop; `run_with` is now a thin driver over it,
 //! so the golden-session, parallel-equivalence, cache-equivalence, and
 //! obs-invariance suites all pin the engine to the callback-era outputs
 //! bit for bit.
@@ -115,51 +115,6 @@ impl ViewRequest {
     }
 }
 
-/// The data set a session runs against: borrowed for the classic
-/// run-to-completion drivers, `Arc`-shared for suspended serving sessions
-/// that must outlive any caller frame, or pinned to one immutable
-/// [`EpochSnapshot`] of a streaming [`DatasetHandle`] — the primary form
-/// since the epoch redesign. An epoch store carries the snapshot (for its
-/// chained fingerprint, tombstones, and incremental index lineage) plus
-/// its materialized dense alive rows, which every engine internal
-/// operates on: point id `i` is dense index `i` of the pinned epoch.
-pub(crate) enum PointStore<'a> {
-    Borrowed(&'a [Vec<f64>]),
-    Shared(Arc<Vec<Vec<f64>>>),
-    Epoch {
-        snap: Arc<EpochSnapshot>,
-        rows: Arc<Vec<Vec<f64>>>,
-    },
-}
-
-impl PointStore<'_> {
-    /// Pin `snap`, materializing its dense alive view once.
-    pub(crate) fn epoch(snap: Arc<EpochSnapshot>) -> PointStore<'static> {
-        let rows = snap.rows();
-        PointStore::Epoch { snap, rows }
-    }
-
-    fn as_slice(&self) -> &[Vec<f64>] {
-        match self {
-            PointStore::Borrowed(p) => p,
-            PointStore::Shared(p) => p.as_slice(),
-            PointStore::Epoch { rows, .. } => rows.as_slice(),
-        }
-    }
-
-    /// The pinned epoch snapshot, if this is an epoch store.
-    fn epoch_snapshot(&self) -> Option<&Arc<EpochSnapshot>> {
-        match self {
-            PointStore::Epoch { snap, .. } => Some(snap),
-            _ => None,
-        }
-    }
-}
-
-/// A [`SessionEngine`] that owns (shares) its data set and can therefore
-/// be stored, moved across threads, and suspended indefinitely.
-pub type OwnedSessionEngine = SessionEngine<'static>;
-
 /// In-flight state of one major iteration.
 struct MajorCtx {
     alive_points: Vec<Vec<f64>>,
@@ -199,11 +154,17 @@ enum EngineStatus {
 
 /// The interactive search loop with the user inverted out of it (see
 /// module docs).
-pub struct SessionEngine<'a> {
+pub struct SessionEngine {
     config: SearchConfig,
     drop_config: DropConfig,
     cache: Arc<SessionCache>,
-    points: PointStore<'a>,
+    /// The epoch snapshot pinned at open. Its `(epoch, fingerprint)` pair
+    /// travels through snapshots (`x-epoch`) and enforces the typed
+    /// consistency rule: resuming against any other epoch is
+    /// [`HinnError::EpochMismatch`].
+    snap: Arc<EpochSnapshot>,
+    /// The snapshot's dense alive rows: point id `i` is `points[i]`.
+    points: Arc<Vec<Vec<f64>>>,
     query: Vec<f64>,
     // Derived once at start.
     n: usize,
@@ -211,11 +172,6 @@ pub struct SessionEngine<'a> {
     s_eff: usize,
     n_minors: usize,
     dataset_fp: Option<Fingerprint>,
-    /// `(epoch counter, chained fingerprint)` pinned at open for epoch
-    /// sessions; `None` for slice/shared stores. Travels through
-    /// snapshots (`x-epoch`) and enforces the typed consistency rule:
-    /// resuming against any other epoch is [`HinnError::EpochMismatch`].
-    epoch: Option<(u64, Fingerprint)>,
     /// Compute time accumulated across segments (tracked only when a
     /// deadline is configured; the default path stays clock-free).
     pub(crate) spent: Duration,
@@ -234,7 +190,7 @@ pub struct SessionEngine<'a> {
     status: EngineStatus,
 }
 
-impl<'a> SessionEngine<'a> {
+impl SessionEngine {
     /// Start a session over `data`, pinning its current epoch, with a
     /// fresh cache. Returns the engine together with its first [`Step`].
     ///
@@ -246,7 +202,7 @@ impl<'a> SessionEngine<'a> {
         config: SearchConfig,
         data: &DatasetHandle,
         query: &[f64],
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(Self, Step), HinnError> {
         Self::start_at(config, data.snapshot(), query)
     }
 
@@ -256,16 +212,10 @@ impl<'a> SessionEngine<'a> {
         config: SearchConfig,
         snap: Arc<EpochSnapshot>,
         query: &[f64],
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(Self, Step), HinnError> {
         config.try_validate()?;
         let cache = Arc::new(SessionCache::new(config.cache));
-        SessionEngine::start_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::epoch(snap),
-            query,
-        )
+        SessionEngine::start_inner(config, DropConfig::default(), cache, snap, query)
     }
 
     /// [`SessionEngine::start_at`] in the serving form: a shared cache,
@@ -275,71 +225,16 @@ impl<'a> SessionEngine<'a> {
         snap: Arc<EpochSnapshot>,
         query: &[f64],
         cache: Arc<SessionCache>,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
-        config.try_validate()?;
-        SessionEngine::start_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::epoch(snap),
-            query,
-        )
-    }
-
-    /// Start a session over borrowed `points` with its own fresh cache —
-    /// the pre-epoch one-shot form, kept as a shim: it behaves exactly as
-    /// the old `start` did (content fingerprint by full hash, no epoch
-    /// pin). New code should build a [`DatasetHandle`] and use
-    /// [`SessionEngine::start`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SessionEngine::start with a DatasetHandle (or start_at with an EpochSnapshot)"
-    )]
-    pub fn start_slice(
-        config: SearchConfig,
-        points: &'a [Vec<f64>],
-        query: &[f64],
     ) -> Result<(Self, Step), HinnError> {
         config.try_validate()?;
-        let cache = Arc::new(SessionCache::new(config.cache));
-        Self::start_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::Borrowed(points),
-            query,
-        )
-    }
-
-    /// Start a session that *shares* its data set and cache — the
-    /// pre-epoch serving form: the engine is `'static` and can be
-    /// suspended in a session table while other sessions of the same data
-    /// set reuse the cache.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SessionEngine::start_at_shared with an EpochSnapshot"
-    )]
-    pub fn start_shared(
-        config: SearchConfig,
-        points: Arc<Vec<Vec<f64>>>,
-        query: &[f64],
-        cache: Arc<SessionCache>,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
-        config.try_validate()?;
-        SessionEngine::start_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::Shared(points),
-            query,
-        )
+        SessionEngine::start_inner(config, DropConfig::default(), cache, snap, query)
     }
 
     pub(crate) fn start_inner(
         config: SearchConfig,
         drop_config: DropConfig,
         cache: Arc<SessionCache>,
-        points: PointStore<'a>,
+        snap: Arc<EpochSnapshot>,
         query: &[f64],
     ) -> Result<(Self, Step), HinnError> {
         // Pre-drive work runs under its own `search.session` segment (the
@@ -349,10 +244,9 @@ impl<'a> SessionEngine<'a> {
         // contract wants it under a named child span.
         let session_span = hinn_obs::span!("search.session");
         let seed_span = hinn_obs::span!("search.seed");
-        validate_inputs(points.as_slice(), query)?;
-        let pts = points.as_slice();
-        let n = pts.len();
-        let d = pts[0].len();
+        let points = snap.rows();
+        let (n, d) = (points.len(), snap.dim());
+        validate_inputs(n, d, query)?;
         let s_eff = config.effective_support(d).min(n);
         let n_minors = config.effective_minors(d);
         if hinn_obs::enabled() {
@@ -360,44 +254,29 @@ impl<'a> SessionEngine<'a> {
             hinn_obs::gauge("search.dims", d as f64);
             hinn_obs::gauge("search.threads", config.parallelism.threads() as f64);
         }
-        // Content fingerprint for the session caches, skipped entirely
-        // when every cache is off so that path stays hash-free. An epoch
-        // store already carries its chained fingerprint — O(1) instead of
-        // the O(n·d) full hash.
-        let dataset_fp = (!cache.is_disabled()).then(|| match points.epoch_snapshot() {
-            Some(snap) => snap.fingerprint(),
-            None => Fingerprint::of_points(pts),
-        });
-        // The epoch pin is independent of cache policy: the consistency
-        // rule must hold even for cache-disabled sessions.
-        let epoch = points
-            .epoch_snapshot()
-            .map(|snap| (snap.epoch(), snap.fingerprint()));
+        // Content fingerprint for the session caches: the epoch's chained
+        // fingerprint, O(1). Skipped when every cache is off so that path
+        // keys nothing.
+        let dataset_fp = (!cache.is_disabled()).then(|| snap.fingerprint());
         // Seed the candidate set: the full id range under the default
         // source (bit-for-bit the pre-candidate-source behavior), else the
         // source's top-`budget` ids. Runs before the first view so the
         // whole session — ranking, pruning, termination — operates on the
-        // seeded subset. An approximate source that under-delivers (e.g.
-        // HNSW over a heavily poisoned dataset) is replaced by the exact
-        // linear seed and leaves a starved-seed rung in the log. Epoch
-        // stores route through the epoch-aware seeder, which reuses the
-        // snapshot's append-only graph lineage and filters tombstones.
-        let (alive, seed_event) = match points.epoch_snapshot() {
-            Some(snap) => {
-                config
-                    .candidates
-                    .seed_alive_epoch(config.parallelism, snap, pts, query, s_eff)
-            }
-            None => config
+        // seeded subset. An approximate source that under-delivers is
+        // replaced by the exact linear seed and leaves a starved-seed rung
+        // in the log. The HNSW source reuses the snapshot's append-only
+        // graph lineage and filters tombstones.
+        let (alive, seed_event) =
+            config
                 .candidates
-                .seed_alive(config.parallelism, pts, query, s_eff),
-        };
+                .seed_alive_epoch(config.parallelism, &snap, &points, query, s_eff);
         drop(seed_span);
         drop(session_span);
         let mut engine = SessionEngine {
             config,
             drop_config,
             cache,
+            snap,
             points,
             query: query.to_vec(),
             n,
@@ -405,7 +284,6 @@ impl<'a> SessionEngine<'a> {
             s_eff,
             n_minors,
             dataset_fp,
-            epoch,
             spent: Duration::ZERO,
             alive,
             p_sum: vec![0.0; n],
@@ -503,9 +381,9 @@ impl<'a> SessionEngine<'a> {
     }
 
     /// The `(epoch counter, chained fingerprint)` this session pinned at
-    /// open — `None` for sessions over plain slices or shared vectors.
-    pub fn dataset_epoch(&self) -> Option<(u64, Fingerprint)> {
-        self.epoch
+    /// open.
+    pub fn dataset_epoch(&self) -> (u64, Fingerprint) {
+        (self.snap.epoch(), self.snap.fingerprint())
     }
 
     /// Serialize the suspended session to a [`SessionSnapshot`] (see
@@ -543,7 +421,7 @@ impl<'a> SessionEngine<'a> {
             config_fp: config_fingerprint(&self.config),
             query: self.query.clone(),
             dataset_fp: self.dataset_fp,
-            epoch: self.epoch,
+            epoch: Some(self.dataset_epoch()),
             spent_ns: self.spent.as_nanos() as u64,
             major: self.major,
             minor: cur.minor,
@@ -584,7 +462,7 @@ impl<'a> SessionEngine<'a> {
         config: SearchConfig,
         data: &DatasetHandle,
         snapshot: &SessionSnapshot,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(Self, Step), HinnError> {
         Self::resume_at(config, data.snapshot(), snapshot)
     }
 
@@ -594,16 +472,10 @@ impl<'a> SessionEngine<'a> {
         config: SearchConfig,
         snap: Arc<EpochSnapshot>,
         snapshot: &SessionSnapshot,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(Self, Step), HinnError> {
         config.try_validate()?;
         let cache = Arc::new(SessionCache::new(config.cache));
-        SessionEngine::resume_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::epoch(snap),
-            snapshot,
-        )
+        SessionEngine::resume_inner(config, DropConfig::default(), cache, snap, snapshot)
     }
 
     /// [`SessionEngine::resume_at`] in the serving form: shared cache,
@@ -613,15 +485,9 @@ impl<'a> SessionEngine<'a> {
         snap: Arc<EpochSnapshot>,
         snapshot: &SessionSnapshot,
         cache: Arc<SessionCache>,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(Self, Step), HinnError> {
         config.try_validate()?;
-        SessionEngine::resume_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::epoch(snap),
-            snapshot,
-        )
+        SessionEngine::resume_inner(config, DropConfig::default(), cache, snap, snapshot)
     }
 
     /// Explicitly rebase a snapshotted epoch session onto a *newer* epoch
@@ -648,7 +514,7 @@ impl<'a> SessionEngine<'a> {
         from: Arc<EpochSnapshot>,
         onto: Arc<EpochSnapshot>,
         snapshot: &SessionSnapshot,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(Self, Step), HinnError> {
         config.try_validate()?;
         let cache = Arc::new(SessionCache::new(config.cache));
         Self::resume_rebased_shared(config, from, onto, snapshot, cache)
@@ -662,7 +528,7 @@ impl<'a> SessionEngine<'a> {
         onto: Arc<EpochSnapshot>,
         snapshot: &SessionSnapshot,
         cache: Arc<SessionCache>,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(Self, Step), HinnError> {
         let rebase_err = |message: String| HinnError::InvalidInput {
             phase: "session.rebase",
             message: format!("SessionEngine::resume_rebased: {message}"),
@@ -750,52 +616,8 @@ impl<'a> SessionEngine<'a> {
             config,
             DropConfig::default(),
             cache,
-            PointStore::epoch(onto),
+            onto,
             &rebased_snapshot,
-        )
-    }
-
-    /// Resume a snapshotted session over borrowed `points` with a fresh
-    /// cache — the pre-epoch shim matching [`SessionEngine::start_slice`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SessionEngine::resume with a DatasetHandle (or resume_at with an EpochSnapshot)"
-    )]
-    pub fn resume_slice(
-        config: SearchConfig,
-        points: &'a [Vec<f64>],
-        snapshot: &SessionSnapshot,
-    ) -> Result<(Self, Step), HinnError> {
-        config.try_validate()?;
-        let cache = Arc::new(SessionCache::new(config.cache));
-        Self::resume_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::Borrowed(points),
-            snapshot,
-        )
-    }
-
-    /// The pre-epoch serving resume: shared data set and cache, `'static`
-    /// engine (see [`SessionEngine::start_shared`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SessionEngine::resume_at_shared with an EpochSnapshot"
-    )]
-    pub fn resume_shared(
-        config: SearchConfig,
-        points: Arc<Vec<Vec<f64>>>,
-        snapshot: &SessionSnapshot,
-        cache: Arc<SessionCache>,
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
-        config.try_validate()?;
-        SessionEngine::resume_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            PointStore::Shared(points),
-            snapshot,
         )
     }
 
@@ -803,38 +625,29 @@ impl<'a> SessionEngine<'a> {
         config: SearchConfig,
         drop_config: DropConfig,
         cache: Arc<SessionCache>,
-        points: PointStore<'a>,
-        snap: &SessionSnapshot,
+        snap: Arc<EpochSnapshot>,
+        snapshot: &SessionSnapshot,
     ) -> Result<(Self, Step), HinnError> {
         let resume_err = |message: String| HinnError::InvalidInput {
             phase: "session.resume",
             message: format!("SessionEngine::resume: {message}"),
         };
-        let state = snapshot::parse(snap).map_err(&resume_err)?;
-        validate_inputs(points.as_slice(), &state.query)?;
+        let state = snapshot::parse(snapshot).map_err(&resume_err)?;
+        let points = snap.rows();
+        let (n, d) = (points.len(), snap.dim());
+        validate_inputs(n, d, &state.query)?;
         // Epoch consistency is checked before shape: a handle that moved
         // past the pinned epoch usually changes n as well, and the typed
-        // refusal must win over a bare shape error.
-        match (points.epoch_snapshot(), state.epoch) {
-            (Some(snap_now), Some((pinned_num, pinned_fp)))
-                if pinned_fp != snap_now.fingerprint() =>
-            {
+        // refusal must win over a bare shape error. Legacy snapshots carry
+        // no pin and fall through to the shape and content checks.
+        if let Some((pinned, pinned_fp)) = state.epoch {
+            if pinned_fp != snap.fingerprint() {
                 return Err(HinnError::EpochMismatch {
-                    pinned: pinned_num,
-                    offered: snap_now.epoch(),
+                    pinned,
+                    offered: snap.epoch(),
                 });
             }
-            (None, Some((pinned, _))) => {
-                return Err(resume_err(format!(
-                    "snapshot pinned dataset epoch {pinned}; resume it over an epoch \
-                     snapshot (SessionEngine::resume / resume_at) or rebase explicitly"
-                )));
-            }
-            _ => {}
         }
-        let pts = points.as_slice();
-        let n = pts.len();
-        let d = pts[0].len();
         if n != state.n || d != state.d {
             return Err(resume_err(format!(
                 "data set shape {n}x{d} does not match snapshot {}x{}",
@@ -846,13 +659,7 @@ impl<'a> SessionEngine<'a> {
                 "configuration differs from the snapshotted session's".to_string(),
             ));
         }
-        let dataset_fp = (!cache.is_disabled()).then(|| match points.epoch_snapshot() {
-            // The chained epoch fingerprint is O(1) and already covers
-            // content; re-hashing the dense rows would key caches
-            // differently from the open path.
-            Some(s) => s.fingerprint(),
-            None => Fingerprint::of_points(pts),
-        });
+        let dataset_fp = (!cache.is_disabled()).then(|| snap.fingerprint());
         if let (Some(now), Some(then)) = (dataset_fp, state.dataset_fp) {
             if now != then {
                 return Err(resume_err(
@@ -878,13 +685,14 @@ impl<'a> SessionEngine<'a> {
                 "cursor is outside the session's bounds".to_string(),
             ));
         }
-        let alive_points: Vec<Vec<f64>> = state.alive.iter().map(|&i| pts[i].clone()).collect();
+        let alive_points: Vec<Vec<f64>> = state.alive.iter().map(|&i| points[i].clone()).collect();
         let alive_fp = dataset_fp.map(|fp| SessionCache::alive_key(fp, &state.alive));
         let spent_at_snapshot = Duration::from_nanos(state.spent_ns);
         let mut engine = SessionEngine {
             config,
             drop_config,
             cache,
+            snap,
             points,
             query: state.query,
             n,
@@ -892,7 +700,6 @@ impl<'a> SessionEngine<'a> {
             s_eff,
             n_minors,
             dataset_fp,
-            epoch: state.epoch,
             spent: spent_at_snapshot,
             alive: state.alive,
             p_sum: state.p_sum,
@@ -997,8 +804,8 @@ impl<'a> SessionEngine<'a> {
         let _major_span = hinn_obs::span!("search.major");
         // Candidate-set size entering this major iteration.
         hinn_obs::observe("search.candidates", self.alive.len() as f64);
-        let pts = self.points.as_slice();
-        let alive_points: Vec<Vec<f64>> = self.alive.iter().map(|&i| pts[i].clone()).collect();
+        let alive_points: Vec<Vec<f64>> =
+            self.alive.iter().map(|&i| self.points[i].clone()).collect();
         // Every cache key below derives from this fingerprint, so a stale
         // entry is unreachable by construction: shrinking the alive set
         // changes the key instead of invalidating anything.
@@ -1297,12 +1104,7 @@ impl<'a> SessionEngine<'a> {
             .iter()
             .map(|p| p / self.majors_run as f64)
             .collect();
-        let top = rank_neighbors(
-            &current_probs,
-            self.points.as_slice(),
-            &self.query,
-            self.s_eff,
-        );
+        let top = rank_neighbors(&current_probs, &self.points, &self.query, self.s_eff);
         let overlap = self.prev_top.as_ref().map(|prev| {
             let prev_set: std::collections::HashSet<usize> = prev.iter().copied().collect();
             top.iter().filter(|i| prev_set.contains(i)).count() as f64 / self.s_eff.max(1) as f64
@@ -1337,12 +1139,7 @@ impl<'a> SessionEngine<'a> {
         } else {
             std::mem::take(&mut self.p_sum)
         };
-        let neighbors = rank_neighbors(
-            &probabilities,
-            self.points.as_slice(),
-            &self.query,
-            self.s_eff,
-        );
+        let neighbors = rank_neighbors(&probabilities, &self.points, &self.query, self.s_eff);
         let transcript = std::mem::take(&mut self.transcript);
         let diagnosis = SearchDiagnosis::derive(&probabilities, &transcript, &self.drop_config);
         SearchOutcome {
@@ -1356,19 +1153,18 @@ impl<'a> SessionEngine<'a> {
     }
 }
 
-/// Input validation shared by every entry point (identical messages to the
-/// legacy `try_run` so `should_panic` callers keep matching).
-fn validate_inputs(points: &[Vec<f64>], query: &[f64]) -> Result<(), HinnError> {
+/// Input validation shared by every entry point. The rows themselves were checked when they entered the handle
+/// ([`DatasetHandle::append`]), so only the shape and the query are left.
+fn validate_inputs(n: usize, d: usize, query: &[f64]) -> Result<(), HinnError> {
     let invalid = |message: String| {
         Err(HinnError::InvalidInput {
             phase: "search.validate",
             message,
         })
     };
-    if points.is_empty() {
+    if n == 0 {
         return invalid("InteractiveSearch: empty data set".into());
     }
-    let d = points[0].len();
     if d < 2 {
         return invalid("InteractiveSearch: need at least 2 dimensions".into());
     }
@@ -1380,19 +1176,6 @@ fn validate_inputs(points: &[Vec<f64>], query: &[f64]) -> Result<(), HinnError> 
     }
     if !query.iter().all(|v| v.is_finite()) {
         return invalid("InteractiveSearch: query contains non-finite coordinates".into());
-    }
-    for (i, p) in points.iter().enumerate() {
-        if p.len() != d {
-            return invalid(format!(
-                "InteractiveSearch: ragged point {i} (length {}, expected {d})",
-                p.len()
-            ));
-        }
-        if !p.iter().all(|v| v.is_finite()) {
-            return invalid(format!(
-                "InteractiveSearch: point {i} contains non-finite coordinates"
-            ));
-        }
     }
     Ok(())
 }
@@ -1492,7 +1275,7 @@ mod tests {
     /// Drive an engine to completion with a user model (the inverted
     /// control flow done by hand).
     fn drive_to_done(
-        mut engine: SessionEngine<'_>,
+        mut engine: SessionEngine,
         mut step: Step,
         user: &mut dyn UserModel,
     ) -> SearchOutcome {
@@ -1553,22 +1336,31 @@ mod tests {
             .err()
             .expect("empty data");
         assert!(err.to_string().contains("empty data set"));
-        // Ragged rows never reach an epoch engine: the handle refuses
-        // them at append time.
+        // Ragged and non-finite rows never reach an engine: the handle
+        // refuses them at append time.
         assert!(matches!(
             DatasetHandle::new(&[vec![0.0, 0.0], vec![1.0, 1.0, 2.0]]),
-            Err(EpochError::DimMismatch { .. })
+            Err(EpochError::DimMismatch { row: 1, .. })
         ));
-        // The deprecated slice shim still validates like the legacy loop.
-        #[allow(deprecated)]
-        let err = SessionEngine::start_slice(
-            SearchConfig::default(),
-            &[vec![0.0, 0.0], vec![1.0, 1.0, 2.0]],
-            &[0.0, 0.0],
-        )
-        .err()
-        .expect("ragged point");
-        assert!(err.to_string().contains("ragged point 1"));
+        assert!(matches!(
+            DatasetHandle::new(&[vec![0.0, 0.0], vec![f64::NAN, 1.0]]),
+            Err(EpochError::NonFinite { row: 1 })
+        ));
+        let flat = DatasetHandle::new(&[vec![0.0], vec![1.0]]).expect("1-d handle");
+        let err = SessionEngine::start(SearchConfig::default(), &flat, &[0.0])
+            .err()
+            .expect("one dimension");
+        assert!(err.to_string().contains("at least 2 dimensions"));
+        let (pts, _) = planted();
+        let dh = handle(&pts);
+        let err = SessionEngine::start(config(), &dh, &[0.0; 3])
+            .err()
+            .expect("short query");
+        assert!(err.to_string().contains("query dimensionality 3"));
+        let err = SessionEngine::start(config(), &dh, &[f64::NAN; 8])
+            .err()
+            .expect("NaN query");
+        assert!(err.to_string().contains("query contains non-finite"));
     }
 
     #[test]
@@ -1725,18 +1517,69 @@ mod tests {
             .err()
             .expect("different data");
         assert!(matches!(err, HinnError::EpochMismatch { .. }), "{err}");
-        // An epoch-pinned snapshot refuses to resume over a bare slice.
-        #[allow(deprecated)]
-        let err = SessionEngine::resume_slice(config(), &pts, &snap)
+        // A snapshot whose point count was tampered with passes the epoch
+        // check and hits the shape check.
+        let tampered = edit_snapshot(&snap, |l| {
+            if l.starts_with("n ") {
+                format!("n {}", pts.len() - 1)
+            } else {
+                l.to_string()
+            }
+        });
+        let err = SessionEngine::resume(config(), &dh, &tampered)
             .err()
-            .expect("slice store");
-        assert!(err.to_string().contains("pinned dataset epoch"), "{err}");
-        // Slice sessions still get the legacy shape check.
-        #[allow(deprecated)]
-        let (engine, _step) = SessionEngine::start_slice(config(), &pts, &q).expect("start");
-        let snap = engine.snapshot().expect("snapshot");
-        #[allow(deprecated)]
-        let err = SessionEngine::resume_slice(config(), &pts[..100], &snap)
+            .expect("tampered n");
+        assert!(err.to_string().contains("shape"), "{err}");
+    }
+
+    /// Rewrite a snapshot line by line.
+    fn edit_snapshot(snap: &SessionSnapshot, edit: impl Fn(&str) -> String) -> SessionSnapshot {
+        let text: Vec<String> = snap.as_str().lines().map(edit).collect();
+        SessionSnapshot::from_text(text.join("\n") + "\n").expect("header kept")
+    }
+
+    /// A snapshot as written before epochs existed: no `x-epoch` line.
+    fn legacy(snap: &SessionSnapshot) -> SessionSnapshot {
+        let text: String = snap
+            .as_str()
+            .lines()
+            .filter(|l| !l.starts_with("x-epoch"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        SessionSnapshot::from_text(text).expect("header kept")
+    }
+
+    #[test]
+    fn legacy_snapshots_resume_under_the_content_check() {
+        let (pts, q) = planted();
+        let dh = handle(&pts);
+        let mut user = HeuristicUser::default();
+        let (mut engine, step) = SessionEngine::start(config(), &dh, &q).expect("start");
+        let req = step.view().expect("view").clone();
+        engine
+            .submit(user.respond(req.profile(), req.context()))
+            .expect("submit");
+        let snap = legacy(&engine.snapshot().expect("snapshot"));
+        // Without an epoch pin the snapshot still parses and resumes over
+        // the same content, and the resumed session is pinned again.
+        let (resumed, _step) = SessionEngine::resume(config(), &dh, &snap).expect("legacy resume");
+        assert_eq!(resumed.dataset_epoch(), engine.dataset_epoch());
+        assert!(resumed
+            .snapshot()
+            .expect("re-snapshot")
+            .as_str()
+            .lines()
+            .any(|l| l.starts_with("x-epoch")));
+        // Over other content of the same shape only the content
+        // fingerprint tells the two apart.
+        let mut other = pts.clone();
+        other[0][0] += 1.0;
+        let err = SessionEngine::resume(config(), &handle(&other), &snap)
+            .err()
+            .expect("different content");
+        assert!(err.to_string().contains("content differs"), "{err}");
+        // Over a different shape the shape check fires first.
+        let err = SessionEngine::resume(config(), &handle(&pts[..100]), &snap)
             .err()
             .expect("different shape");
         assert!(err.to_string().contains("shape"), "{err}");
@@ -1782,17 +1625,14 @@ mod tests {
     }
 
     #[test]
-    fn epoch_pin_is_visible_and_slice_sessions_have_none() {
+    fn epoch_pin_is_visible() {
         let (pts, q) = planted();
         let dh = handle(&pts);
         let (engine, _step) = SessionEngine::start(config(), &dh, &q).expect("start");
         assert_eq!(
             engine.dataset_epoch(),
-            Some((dh.epoch(), dh.snapshot().fingerprint()))
+            (dh.epoch(), dh.snapshot().fingerprint())
         );
-        #[allow(deprecated)]
-        let (engine, _step) = SessionEngine::start_slice(config(), &pts, &q).expect("start");
-        assert_eq!(engine.dataset_epoch(), None);
     }
 
     #[test]
@@ -1850,10 +1690,7 @@ mod tests {
         let (rebased, step) =
             SessionEngine::resume_rebased(config(), from.clone(), onto.clone(), &snap)
                 .expect("rebase");
-        assert_eq!(
-            rebased.dataset_epoch(),
-            Some((onto.epoch(), onto.fingerprint()))
-        );
+        assert_eq!(rebased.dataset_epoch(), (onto.epoch(), onto.fingerprint()));
         let outcome = drive_to_done(rebased, step, &mut user);
         assert!(!outcome.neighbors.is_empty());
         assert!(outcome.neighbors.iter().all(|&i| i < onto.len()));

@@ -29,7 +29,6 @@
 // aborts use an explicit `panic!` with a message. Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod artifacts;
 pub mod batch;
 pub mod cache;
 pub mod candidates;
@@ -53,7 +52,7 @@ pub use candidates::CandidateSource;
 pub use config::{BandwidthMode, ProjectionMode, SearchConfig};
 pub use degrade::{DegradationEvent, DegradationKind, DegradationLog};
 pub use diagnosis::SearchDiagnosis;
-pub use engine::{OwnedSessionEngine, SessionEngine, Step, ViewRequest};
+pub use engine::{SessionEngine, Step, ViewRequest};
 pub use error::HinnError;
 pub use explain::{explain_neighbor, explanation_text, NeighborExplanation};
 pub use hinn_cache::CachePolicy;

@@ -3,15 +3,13 @@
 //! Since the sans-io refactor the iteration loop itself lives in
 //! [`crate::engine::SessionEngine`]; this module keeps the packaged
 //! run-to-completion API: [`InteractiveSearch::run_with`] drives the
-//! engine against a [`UserModel`] callback, and the four legacy entry
-//! points (`run`, `try_run`, `run_traced`, `try_run_traced`) are thin
-//! deprecated wrappers over it.
+//! engine against a [`UserModel`] callback.
 
 use crate::cache::SessionCache;
 use crate::config::SearchConfig;
 use crate::degrade::DegradationLog;
 use crate::diagnosis::SearchDiagnosis;
-use crate::engine::{OwnedSessionEngine, PointStore, SessionEngine, Step};
+use crate::engine::{SessionEngine, Step};
 use crate::error::HinnError;
 use crate::transcript::Transcript;
 use hinn_data::{DatasetHandle, EpochSnapshot};
@@ -79,9 +77,7 @@ impl SearchOutcome {
     }
 }
 
-/// Options for one [`InteractiveSearch::run_with`] session — the unified
-/// replacement for the old `run`/`try_run`/`run_traced`/`try_run_traced`
-/// quartet.
+/// Options for one [`InteractiveSearch::run_with`] session.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Compute budget for the session; overrides
@@ -100,7 +96,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Options with tracing enabled (the old `run_traced` shape).
+    /// Options with tracing enabled.
     pub fn traced() -> Self {
         Self {
             trace: true,
@@ -191,8 +187,7 @@ impl InteractiveSearch {
         &self.cache
     }
 
-    /// Run the full interactive session of Fig. 2 against `user` — the
-    /// single entry point the legacy `run*` quartet collapsed into.
+    /// Run the full interactive session of Fig. 2 against `user`.
     ///
     /// Internally this is a driver loop over
     /// [`SessionEngine`](crate::SessionEngine): start, show each
@@ -226,33 +221,6 @@ impl InteractiveSearch {
         user: &mut dyn UserModel,
         options: RunOptions,
     ) -> Result<RunOutput, HinnError> {
-        self.run_inner(PointStore::epoch(snap), query, user, options)
-    }
-
-    /// [`run_with`](Self::run_with) over a borrowed slice — the pre-epoch
-    /// shim. Each call behaves like a one-epoch [`DatasetHandle`] minus
-    /// the epoch pin (no chained fingerprint, no typed epoch refusals).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_with with a DatasetHandle (or run_at with an EpochSnapshot)"
-    )]
-    pub fn run_with_slice(
-        &self,
-        points: &[Vec<f64>],
-        query: &[f64],
-        user: &mut dyn UserModel,
-        options: RunOptions,
-    ) -> Result<RunOutput, HinnError> {
-        self.run_inner(PointStore::Borrowed(points), query, user, options)
-    }
-
-    fn run_inner(
-        &self,
-        store: PointStore<'_>,
-        query: &[f64],
-        user: &mut dyn UserModel,
-        options: RunOptions,
-    ) -> Result<RunOutput, HinnError> {
         let mut config = self.config.clone();
         if options.deadline.is_some() {
             config.deadline = options.deadline;
@@ -270,7 +238,7 @@ impl InteractiveSearch {
                 config,
                 self.drop_config,
                 self.cache.clone(),
-                store,
+                snap,
                 query,
             )?;
             loop {
@@ -309,7 +277,7 @@ impl InteractiveSearch {
         &self,
         data: &DatasetHandle,
         query: &[f64],
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(SessionEngine, Step), HinnError> {
         self.start_session_at(data.snapshot(), query)
     }
 
@@ -319,113 +287,14 @@ impl InteractiveSearch {
         &self,
         snap: Arc<EpochSnapshot>,
         query: &[f64],
-    ) -> Result<(OwnedSessionEngine, Step), HinnError> {
+    ) -> Result<(SessionEngine, Step), HinnError> {
         SessionEngine::start_inner(
             self.config.clone(),
             self.drop_config,
             self.cache.clone(),
-            PointStore::epoch(snap),
+            snap,
             query,
         )
-    }
-
-    /// Start a suspendable session over a borrowed slice — the pre-epoch
-    /// shim matching [`run_with_slice`](Self::run_with_slice).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use start_session with a DatasetHandle (or start_session_at with an EpochSnapshot)"
-    )]
-    pub fn start_session_slice<'a>(
-        &self,
-        points: &'a [Vec<f64>],
-        query: &[f64],
-    ) -> Result<(SessionEngine<'a>, Step), HinnError> {
-        SessionEngine::start_inner(
-            self.config.clone(),
-            self.drop_config,
-            self.cache.clone(),
-            PointStore::Borrowed(points),
-            query,
-        )
-    }
-
-    /// Run the full interactive session of Fig. 2 against `user`.
-    ///
-    /// # Panics
-    /// Panics if `points` is empty, dimensionalities disagree, or `d < 2`;
-    /// [`InteractiveSearch::try_run`] is the non-panicking form.
-    #[deprecated(note = "use `run_with(points, query, user, RunOptions::default())`")]
-    pub fn run(
-        &self,
-        points: &[Vec<f64>],
-        query: &[f64],
-        user: &mut dyn UserModel,
-    ) -> SearchOutcome {
-        #[allow(deprecated)]
-        match self.run_with_slice(points, query, user, RunOptions::default()) {
-            Ok(out) => out.outcome,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`InteractiveSearch::run`]: invalid input comes back as
-    /// [`HinnError::InvalidInput`] and a configured
-    /// [`SearchConfig::deadline`] as [`HinnError::Deadline`], instead of a
-    /// panic.
-    #[deprecated(note = "use `run_with(points, query, user, RunOptions::default())`")]
-    pub fn try_run(
-        &self,
-        points: &[Vec<f64>],
-        query: &[f64],
-        user: &mut dyn UserModel,
-    ) -> Result<SearchOutcome, HinnError> {
-        #[allow(deprecated)]
-        self.run_with_slice(points, query, user, RunOptions::default())
-            .map(RunOutput::into_outcome)
-    }
-
-    /// [`InteractiveSearch::run`] with a scoped [`hinn_obs::SessionRecorder`]
-    /// installed for the session's duration; returns the outcome together
-    /// with the merged telemetry report.
-    ///
-    /// # Panics
-    /// Panics on invalid input, like [`run`](InteractiveSearch::run).
-    #[deprecated(note = "use `run_with(points, query, user, RunOptions::traced())`")]
-    pub fn run_traced(
-        &self,
-        points: &[Vec<f64>],
-        query: &[f64],
-        user: &mut dyn UserModel,
-    ) -> (SearchOutcome, hinn_obs::TelemetryReport) {
-        #[allow(deprecated)]
-        match self.run_with_slice(points, query, user, RunOptions::traced()) {
-            Ok(RunOutput {
-                outcome,
-                telemetry: Some(report),
-                ..
-            }) => (outcome, report),
-            Ok(_) => unreachable!("traced run always yields telemetry"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`InteractiveSearch::run_traced`]. The telemetry report of
-    /// a failed session is dropped with the session.
-    #[deprecated(note = "use `run_with(points, query, user, RunOptions::traced())`")]
-    pub fn try_run_traced(
-        &self,
-        points: &[Vec<f64>],
-        query: &[f64],
-        user: &mut dyn UserModel,
-    ) -> Result<(SearchOutcome, hinn_obs::TelemetryReport), HinnError> {
-        #[allow(deprecated)]
-        let RunOutput {
-            outcome, telemetry, ..
-        } = self.run_with_slice(points, query, user, RunOptions::traced())?;
-        match telemetry {
-            Some(report) => Ok((outcome, report)),
-            None => unreachable!("traced run always yields telemetry"),
-        }
     }
 }
 
@@ -613,7 +482,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn run_with_reports_invalid_input_instead_of_panicking() {
         let mut user = ScriptedUser::new([]);
         let engine = InteractiveSearch::new(SearchConfig::default());
@@ -625,73 +493,25 @@ mod tests {
         assert!(err.is_invalid_input());
         assert!(err.to_string().contains("empty data set"));
 
-        // Malformed rows never reach an epoch engine (the handle refuses
-        // them at append), so the slice shim keeps the legacy checks.
         let err = engine
-            .run_with_slice(&[], &[0.0, 0.0], &mut user, RunOptions::default())
-            .expect_err("empty data");
-        assert!(err.to_string().contains("empty data set"));
-
-        let err = engine
-            .run_with_slice(
-                &[vec![0.0, 0.0], vec![1.0, f64::NAN]],
-                &[0.0, 0.0],
+            .run_with(
+                &handle(&[vec![0.0, 0.0]]),
+                &[0.0, 0.0, 0.0],
                 &mut user,
                 RunOptions::default(),
             )
-            .expect_err("non-finite point");
-        assert!(err.to_string().contains("point 1"));
+            .expect_err("query dimensionality");
+        assert!(err.to_string().contains("query dimensionality"));
 
-        let err = engine
-            .run_with_slice(
-                &[vec![0.0, 0.0], vec![1.0, 1.0, 2.0]],
-                &[0.0, 0.0],
-                &mut user,
-                RunOptions::default(),
-            )
-            .expect_err("ragged point");
-        assert!(err.to_string().contains("ragged point 1"));
+        // Malformed rows never reach an engine: the handle refuses them.
+        assert!(DatasetHandle::new(&[vec![0.0, 0.0], vec![1.0, f64::NAN]]).is_err());
+        assert!(DatasetHandle::new(&[vec![0.0, 0.0], vec![1.0, 1.0, 2.0]]).is_err());
 
         assert!(InteractiveSearch::try_new(SearchConfig {
             grid_n: 1,
             ..SearchConfig::default()
         })
         .is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_match_run_with_bit_for_bit() {
-        // The four deprecated entry points are documented as thin wrappers;
-        // hold them to it.
-        let (pts, q, _) = planted();
-        let config = SearchConfig::default().with_support(20);
-        let outcome =
-            InteractiveSearch::new(config.clone()).run(&pts, &q, &mut HeuristicUser::default());
-        let tried = InteractiveSearch::new(config.clone())
-            .try_run(&pts, &q, &mut HeuristicUser::default())
-            .expect("healthy data");
-        let unified = InteractiveSearch::new(config)
-            .run_with(
-                &handle(&pts),
-                &q,
-                &mut HeuristicUser::default(),
-                RunOptions::default(),
-            )
-            .expect("healthy data")
-            .outcome;
-        assert_eq!(outcome.neighbors, unified.neighbors);
-        assert_eq!(tried.neighbors, unified.neighbors);
-        for ((a, b), c) in outcome
-            .probabilities
-            .iter()
-            .zip(&tried.probabilities)
-            .zip(&unified.probabilities)
-        {
-            assert_eq!(a.to_bits(), c.to_bits());
-            assert_eq!(b.to_bits(), c.to_bits());
-        }
-        assert!(unified.degradations().is_empty());
     }
 
     #[test]
@@ -797,25 +617,5 @@ mod tests {
         };
         assert_eq!(plan.hits("search.deadline"), 0, "clock-free path");
         assert!(outcome.majors_run >= 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "query dimensionality")]
-    fn query_dim_mismatch_panics() {
-        let mut user = ScriptedUser::new([]);
-        InteractiveSearch::new(SearchConfig::default()).run(
-            &[vec![0.0, 0.0]],
-            &[0.0, 0.0, 0.0],
-            &mut user,
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "empty data set")]
-    fn empty_data_panics() {
-        let mut user = ScriptedUser::new([]);
-        InteractiveSearch::new(SearchConfig::default()).run(&[], &[0.0], &mut user);
     }
 }

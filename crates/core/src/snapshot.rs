@@ -79,7 +79,8 @@ pub(crate) struct EngineState {
     /// Epoch pin of a session opened over an
     /// [`hinn_data::EpochSnapshot`]: the epoch counter and the chained
     /// content fingerprint. Serialized as an `x-epoch` extension line so
-    /// pre-epoch readers skip it; `None` for slice/shared sessions.
+    /// pre-epoch readers skip it; `None` only in snapshots written before
+    /// epochs existed.
     pub epoch: Option<(u64, Fingerprint)>,
     pub spent_ns: u64,
     pub major: usize,

@@ -1,7 +1,7 @@
 //! Behavioral tests of the search loop beyond the happy path: weight
 //! handling, termination, and degenerate inputs.
 
-use hinn_core::{InteractiveSearch, ProjectionMode, SearchConfig};
+use hinn_core::{DatasetHandle, EpochError, InteractiveSearch, ProjectionMode, SearchConfig};
 use hinn_user::{HeuristicUser, ScriptedUser, UserResponse};
 
 /// 6-D data with a 25-point cluster tight in dims 0..3 around 50 and 75
@@ -222,37 +222,29 @@ fn odd_dimensionality_gets_floor_of_d_over_2_views() {
 }
 
 #[test]
-#[should_panic(expected = "non-finite")]
-#[allow(deprecated)]
-fn nan_data_fails_fast() {
-    // Epoch handles refuse non-finite rows at append; the slice shim
-    // keeps the legacy fail-fast behavior inside the engine.
-    let pts = vec![vec![0.0, 1.0], vec![f64::NAN, 2.0]];
-    let mut user = HeuristicUser::default();
-    let _ = InteractiveSearch::new(SearchConfig::default().with_support(1))
-        .run_with_slice(
-            &pts,
-            &[0.0, 0.0],
-            &mut user,
-            hinn_core::RunOptions::default(),
-        )
-        .expect("interactive session")
-        .into_outcome();
+fn nan_data_is_refused_where_it_enters() {
+    // Rows are checked once, when they enter the handle: a session never
+    // sees a non-finite coordinate.
+    let err = DatasetHandle::new(&[vec![0.0, 1.0], vec![f64::NAN, 2.0]]).expect_err("NaN row");
+    assert_eq!(err, EpochError::NonFinite { row: 1 });
+    assert!(err.to_string().contains("non-finite"), "{err}");
 }
 
 #[test]
-#[should_panic(expected = "ragged")]
-#[allow(deprecated)]
-fn ragged_data_fails_fast() {
-    let pts = vec![vec![0.0, 1.0], vec![1.0]];
-    let mut user = HeuristicUser::default();
-    let _ = InteractiveSearch::new(SearchConfig::default().with_support(1))
-        .run_with_slice(
-            &pts,
-            &[0.0, 0.0],
-            &mut user,
-            hinn_core::RunOptions::default(),
-        )
-        .expect("interactive session")
-        .into_outcome();
+fn ragged_data_is_refused_where_it_enters() {
+    let handle = DatasetHandle::new(&[vec![0.0, 1.0]]).expect("clean row");
+    let err = handle.append(&[vec![1.0]]).expect_err("ragged row");
+    assert_eq!(
+        err,
+        EpochError::DimMismatch {
+            expected: 2,
+            got: 1,
+            row: 0
+        }
+    );
+    assert_eq!(
+        handle.len(),
+        1,
+        "a refused batch leaves the handle unchanged"
+    );
 }

@@ -1,18 +1,9 @@
 //! The common labeled-point-set container used throughout `hinn`.
 
-use std::sync::{Arc, OnceLock};
-
 /// A point set with optional per-point class/cluster labels.
 ///
 /// `labels[i] == None` marks an outlier / unlabeled point. All points share
 /// one dimensionality, enforced at construction.
-///
-/// The columnar view ([`Dataset::columns`]) is built lazily on first use
-/// and cached (along with its f32 mirror) for the dataset's lifetime, so
-/// callers stop re-transposing at every kernel boundary. The row fields
-/// stay public for construction-time convenience; mutating `points` after
-/// the columnar cache materialized leaves the cache stale — treat a
-/// `Dataset` as frozen once it is being read.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     /// Human-readable dataset name (used in experiment reports).
@@ -21,8 +12,6 @@ pub struct Dataset {
     pub points: Vec<Vec<f64>>,
     /// Per-point label; `None` = outlier/unlabeled.
     pub labels: Vec<Option<usize>>,
-    /// Lazily built, shared columnar view (clones share the cache).
-    columns: OnceLock<Arc<crate::ColumnStore>>,
 }
 
 impl Dataset {
@@ -48,7 +37,6 @@ impl Dataset {
             name: name.into(),
             points,
             labels,
-            columns: OnceLock::new(),
         }
     }
 
@@ -89,26 +77,6 @@ impl Dataset {
             .flatten()
             .collect::<std::collections::BTreeSet<_>>()
             .len()
-    }
-
-    /// The columnar (structure-of-arrays) view of the points — one
-    /// contiguous column per dimension, the layout the
-    /// `hinn_linalg::simd` batch kernels scan. Transposed once on first
-    /// use and cached (clones share the cache), so repeated kernel calls
-    /// and the lazily built f32 mirror amortize across the dataset's
-    /// lifetime.
-    pub fn columns(&self) -> &Arc<crate::ColumnStore> {
-        self.columns
-            .get_or_init(|| Arc::new(crate::ColumnStore::from_rows(&self.points)))
-    }
-
-    /// The columnar view, freshly transposed per call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Dataset::columns(), which transposes once and caches the store"
-    )]
-    pub fn column_store(&self) -> crate::ColumnStore {
-        crate::ColumnStore::from_rows(&self.points)
     }
 
     /// Indices of points carrying label `c`.
@@ -172,7 +140,6 @@ impl Dataset {
             name: format!("{} (standardized)", self.name),
             points,
             labels: self.labels.clone(),
-            columns: OnceLock::new(),
         }
     }
 }
@@ -219,26 +186,6 @@ mod tests {
             vec![Some(7), Some(9)],
         );
         assert_eq!(d.n_classes(), 2);
-    }
-
-    #[test]
-    fn column_store_round_trips() {
-        let d = toy();
-        let s = d.columns();
-        assert_eq!(s.len(), d.len());
-        assert_eq!(s.dim(), d.dim());
-        for i in 0..d.len() {
-            assert_eq!(s.row(i), d.points[i]);
-        }
-    }
-
-    #[test]
-    fn columns_cache_is_shared_across_clones() {
-        let d = toy();
-        let first = Arc::as_ptr(d.columns());
-        assert_eq!(Arc::as_ptr(d.columns()), first, "second call rebuilt");
-        let c = d.clone();
-        assert_eq!(Arc::as_ptr(c.columns()), first, "clone lost the cache");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod uniform;
 
 pub use column_store::ColumnStore;
 pub use dataset::Dataset;
-pub use epoch::{DatasetHandle, EpochError, EpochSnapshot, StreamingStats};
+pub use epoch::{DatasetHandle, EpochError, EpochSnapshot};
 pub use projected::{generate_projected_clusters, ProjectedClusterSpec};
 pub use scaling::FeatureScaler;
 pub use uci::{simulated_ionosphere, simulated_segmentation};

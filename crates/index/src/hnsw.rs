@@ -321,8 +321,9 @@ impl Hnsw {
             .unwrap_or_else(|| Arc::new(Self::build(points.to_vec(), params)))
     }
 
-    /// Extend the graph with the rows of `points` beyond the indexed
-    /// prefix (`points[self.len()..]`), inserted in strict id order.
+    /// Extend the graph with `rows`, which take the ids
+    /// `self.len()..self.len() + rows.len()` and are inserted in strict id
+    /// order.
     ///
     /// Because [`HnswParams::level_of`] hashes ids independently and
     /// [`Hnsw::build`] inserts in strict id order, a graph built over a
@@ -330,40 +331,34 @@ impl Hnsw {
     /// (same [`Hnsw::digest`]) to one built over the full set in one
     /// shot — the property that lets streaming epochs grow the shared
     /// graph incrementally instead of rebuilding per append batch. The
-    /// caller guarantees `points[..self.len()]` equals the rows the graph
-    /// was built over (epoch callers key graphs by the append-only
+    /// caller guarantees `rows` follow exactly the rows the graph was
+    /// built over (epoch callers key graphs by the append-only
     /// fingerprint chain, which encodes exactly that).
     ///
     /// # Panics
-    /// Panics if `points` is shorter than the indexed prefix or the new
-    /// rows are ragged.
-    pub fn extended(&self, points: &[Vec<f64>]) -> Self {
-        assert!(
-            points.len() >= self.n,
-            "Hnsw: extension set shorter than the indexed prefix"
-        );
-        let m = points.len();
-        if m == self.n {
+    /// Panics if a new row's length differs from the graph's
+    /// dimensionality.
+    pub fn extended(&self, rows: &[Vec<f64>]) -> Self {
+        if rows.is_empty() {
             return self.clone();
         }
         assert!(
-            points[self.n..].iter().all(|p| p.len() == self.dim),
+            rows.iter().all(|p| p.len() == self.dim),
             "Hnsw: ragged extension rows"
         );
 
         let _span = hinn_obs::span!("index.extend");
         let t0 = hinn_obs::enabled().then(std::time::Instant::now);
 
+        let m = self.n + rows.len();
         let mut graph = self.clone();
-        graph.points.reserve((m - self.n) * self.dim);
-        for p in &points[self.n..] {
+        graph.points.reserve(rows.len() * self.dim);
+        for p in rows {
             graph.points.extend_from_slice(p);
         }
-        graph.poisoned.extend(
-            points[self.n..]
-                .iter()
-                .map(|p| p.iter().any(|v| v.is_nan())),
-        );
+        graph
+            .poisoned
+            .extend(rows.iter().map(|p| p.iter().any(|v| v.is_nan())));
         graph
             .levels
             .extend((self.n..m).map(|id| self.params.level_of(id) as u32));
@@ -893,16 +888,16 @@ mod tests {
         // One big extension and a chain of small ones both land on the
         // full build's digest.
         let prefix = Hnsw::build(pts[..200].to_vec(), params);
-        assert_eq!(prefix.extended(&pts).digest(), full.digest());
+        assert_eq!(prefix.extended(&pts[200..]).digest(), full.digest());
         let mut grown = Hnsw::build(pts[..100].to_vec(), params);
-        for stop in [150, 220, 360] {
-            grown = grown.extended(&pts[..stop]);
+        for (start, stop) in [(100, 150), (150, 220), (220, 360)] {
+            grown = grown.extended(&pts[start..stop]);
         }
         assert_eq!(grown.len(), 360);
         assert_eq!(grown.digest(), full.digest());
         assert_eq!(grown.knn(&pts[42], 10), full.knn(&pts[42], 10));
         // A no-op extension is a plain clone.
-        assert_eq!(full.extended(&pts).digest(), full.digest());
+        assert_eq!(full.extended(&[]).digest(), full.digest());
     }
 
     #[test]
@@ -910,17 +905,16 @@ mod tests {
         let mut pts = cloud(120, 4, 0xBAD);
         pts[110][0] = f64::NAN;
         let params = HnswParams::default();
-        let grown = Hnsw::build(pts[..100].to_vec(), params).extended(&pts);
+        let grown = Hnsw::build(pts[..100].to_vec(), params).extended(&pts[100..]);
         assert_eq!(grown.digest(), Hnsw::build(pts.clone(), params).digest());
         assert!(grown.knn(&pts[0], 120).iter().all(|&i| i != 110));
     }
 
     #[test]
-    #[should_panic(expected = "shorter than the indexed prefix")]
-    fn extension_shorter_than_prefix_panics() {
-        let pts = cloud(20, 3, 5);
-        let graph = Hnsw::build(pts.clone(), HnswParams::default());
-        let _ = graph.extended(&pts[..10]);
+    #[should_panic(expected = "ragged extension rows")]
+    fn ragged_extension_panics() {
+        let graph = Hnsw::build(cloud(20, 3, 5), HnswParams::default());
+        let _ = graph.extended(&[vec![1.0, 2.0]]);
     }
 
     #[test]

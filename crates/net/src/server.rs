@@ -284,28 +284,6 @@ impl NetServer {
             accept: Some(accept),
         })
     }
-
-    /// [`bind`](Self::bind) over a plain point set — the pre-epoch shim.
-    /// Builds a single-epoch [`DatasetHandle`], so data validation
-    /// (finite values, uniform dimensionality) happens here.
-    ///
-    /// # Errors
-    /// As [`bind`](Self::bind), plus [`HinnError::InvalidInput`] when
-    /// `points` is data a [`DatasetHandle`] refuses.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a DatasetHandle and use NetServer::bind"
-    )]
-    pub fn bind_points(
-        config: NetServerConfig,
-        points: Arc<Vec<Vec<f64>>>,
-    ) -> Result<ServerHandle, HinnError> {
-        let data = DatasetHandle::new(&points).map_err(|e| HinnError::InvalidInput {
-            phase: "net.bind",
-            message: format!("NetServer::bind_points: {e}"),
-        })?;
-        Self::bind(config, data)
-    }
 }
 
 /// A running front-end. Dropping the handle without

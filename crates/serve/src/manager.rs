@@ -3,8 +3,8 @@
 use crate::postmortem::{EventRing, Postmortem, SessionEvent};
 use hinn_cache::{Fingerprint, LruCache};
 use hinn_core::{
-    DatasetHandle, DegradationKind, EpochSnapshot, HinnError, OwnedSessionEngine, SearchConfig,
-    SessionCache, SessionEngine, SessionSnapshot, Step,
+    DatasetHandle, DegradationKind, EpochSnapshot, HinnError, SearchConfig, SessionCache,
+    SessionEngine, SessionSnapshot, Step,
 };
 use hinn_user::UserResponse;
 use std::collections::HashMap;
@@ -214,7 +214,7 @@ enum Lifecycle {
 /// A resident engine. The per-session mutex serializes submits to one
 /// session while letting other sessions compute concurrently.
 struct HotSlot {
-    engine: OwnedSessionEngine,
+    engine: SessionEngine,
     /// Degradation-log events already mirrored into the session's black
     /// box — `submit` diffs against this to find rungs the last compute
     /// segment took. Reset to the restored engine's log length on a
@@ -371,22 +371,6 @@ impl SessionManager {
             }),
             incidents: Mutex::new(Vec::new()),
         })
-    }
-
-    /// [`new`](Self::new) over a plain point set — the pre-epoch shim.
-    /// Builds a single-epoch [`DatasetHandle`] from `points`, so data
-    /// validation (finite values, uniform dimensionality) now happens
-    /// here instead of at the first `open`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a DatasetHandle and use SessionManager::new"
-    )]
-    pub fn with_points(config: ServeConfig, points: Arc<Vec<Vec<f64>>>) -> Result<Self, HinnError> {
-        let data = DatasetHandle::new(&points).map_err(|e| HinnError::InvalidInput {
-            phase: "serve.config",
-            message: format!("SessionManager: {e}"),
-        })?;
-        Self::new(config, data)
     }
 
     /// The served dataset handle — the door to epoch-aware callers that
@@ -1779,24 +1763,6 @@ mod tests {
                     if *onto_epoch == from_epoch + 1
             )),
             "rebase event missing from the ring"
-        );
-    }
-
-    #[test]
-    fn with_points_shim_validates_at_construction() {
-        #[allow(deprecated)]
-        let m = SessionManager::with_points(config(), Arc::new(planted())).expect("shim");
-        let (id, step) = m.open(&[50.0; 8]).expect("open");
-        let outcome = drive_to_done(&m, id, step);
-        assert!(!outcome.neighbors.is_empty());
-        // Data the epoch layer refuses is now refused up front, typed.
-        #[allow(deprecated)]
-        let err = SessionManager::with_points(config(), Arc::new(vec![vec![f64::NAN; 8]]))
-            .map(|_| ())
-            .expect_err("non-finite");
-        assert!(
-            matches!(&err, HinnError::InvalidInput { phase, .. } if *phase == "serve.config"),
-            "{err}"
         );
     }
 

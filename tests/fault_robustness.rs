@@ -1,7 +1,7 @@
 //! Robustness sweep over pathological geometry — no fault plans, just
 //! hostile data. The contract under test:
 //!
-//! 1. `InteractiveSearch::try_run` is *panic-free*: every input either
+//! 1. `InteractiveSearch::run_with` is *panic-free*: every input either
 //!    completes or returns a typed [`HinnError`].
 //! 2. Whatever it does is deterministic across thread budgets: the
 //!    outcome (bits of every probability) or the error is identical for
