@@ -80,16 +80,23 @@ fn gaussian_mixture(n: usize, d: usize, n_clusters: usize, sigma: f64, seed: u64
 use hinn_linalg::vector::dist_sq;
 
 /// Exact serial kNN over the whole dataset — the baseline both sides of
-/// the comparison are judged against.
+/// the comparison are judged against. Scores each point once, then
+/// selects the `k` closest in the total `(dist, id)` order.
 fn linear_top_k(points: &[Vec<f64>], query: &[f64], k: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        dist_sq(&points[a], query)
-            .total_cmp(&dist_sq(&points[b], query))
-            .then(a.cmp(&b))
-    });
-    order.truncate(k);
-    order
+    let mut scored: Vec<(f64, usize)> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (dist_sq(p, query), i))
+        .collect();
+    let by = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    let k = k.min(scored.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    scored.select_nth_unstable_by(k - 1, by);
+    scored.truncate(k);
+    scored.sort_unstable_by(by);
+    scored.into_iter().map(|(_, i)| i).collect()
 }
 
 fn json_f64(v: f64) -> String {

@@ -202,6 +202,49 @@ thread_local! {
     static SCRATCH: RefCell<Visited> = RefCell::new(Visited::new(0));
 }
 
+/// Bit 63 of a [`Links::diverse`] mask: set iff the mask describes the
+/// list it is stored with.
+const MASK_VALID: u64 = 1 << 63;
+
+/// Largest per-layer cap whose diversity bits fit below [`MASK_VALID`].
+const MASK_MAX_CAP: usize = 63;
+
+/// One node's neighbor list on one layer.
+#[derive(Clone, Debug, Default)]
+struct Links {
+    /// Neighbor ids.
+    ids: Vec<u32>,
+    /// The Alg. 4 diversity mask of `ids`: bit `i` is set iff `ids[i]`
+    /// passed the diversity test of the selection that produced the list.
+    /// Meaningful only under [`MASK_VALID`], which a selection over more
+    /// than `cap ≤ 63` candidates sets; such a list holds exactly `cap`
+    /// ids sorted by `(dist, id)` from the node, so the next link added
+    /// to it overflows it and [`Hnsw::prune`] re-derives the mask at once.
+    diverse: u64,
+}
+
+/// Build-local state reused across inserts: the visited set, the work
+/// counters and the buffers the neighbor selection fills.
+struct Builder {
+    visited: Visited,
+    stats: HnswStats,
+    /// An overflowing neighbor list scored from its node.
+    scored: Vec<Entry>,
+    /// Positions of the candidates that passed the diversity test.
+    picked: Vec<usize>,
+}
+
+/// The positions of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 /// A hierarchical navigable small world graph over an owned copy of the
 /// dataset. See the crate docs for the determinism contract.
 #[derive(Clone, Debug)]
@@ -221,8 +264,12 @@ pub struct Hnsw {
     poisoned: Vec<bool>,
     /// Level of each node (meaningful only for non-poisoned nodes).
     levels: Vec<u32>,
-    /// `links[id][layer]` = neighbor ids of `id` on `layer` (0..=level).
-    links: Vec<Vec<Vec<u32>>>,
+    /// The neighbor lists of every (node, layer), node-major in one flat
+    /// arena: node `id`'s lists are `links[first[id]..first[id + 1]]`,
+    /// one per layer `0..=level` (none for a poisoned node).
+    links: Vec<Links>,
+    /// Offsets of each node's lists in `links`; `n + 1` entries.
+    first: Vec<u32>,
     /// Entry node (highest level, lowest id among those); `None` iff every
     /// point is poisoned.
     entry: Option<u32>,
@@ -251,42 +298,76 @@ impl Hnsw {
         let _span = hinn_obs::span!("index.build");
         let t0 = hinn_obs::enabled().then(std::time::Instant::now);
 
-        let n = points.len();
-        let poisoned: Vec<bool> = points
-            .iter()
-            .map(|p| p.iter().any(|v| v.is_nan()))
-            .collect();
-        let levels: Vec<u32> = (0..n).map(|id| params.level_of(id) as u32).collect();
-        let mut flat = Vec::with_capacity(n * dim);
-        for p in &points {
-            flat.extend_from_slice(p);
-        }
-        let mut graph = Self {
-            params,
-            dim,
-            n,
-            points: flat,
-            poisoned,
-            levels,
-            links: (0..n).map(|_| Vec::new()).collect(),
-            entry: None,
-            max_level: 0,
-        };
-        let mut visited = Visited::new(n);
-        let mut stats = HnswStats::default();
-        // Strict id order: combined with hash-derived levels this makes
-        // the graph independent of any external concurrency.
-        for id in 0..n as u32 {
-            if !graph.poisoned[id as usize] {
-                graph.insert(id, &mut visited, &mut stats);
-            }
-        }
+        let mut graph = Self::empty(dim, params);
+        let stats = graph.append(&points);
 
         hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
         if let Some(t0) = t0 {
             hinn_obs::observe("index.build_ms", t0.elapsed().as_secs_f64() * 1e3);
         }
         graph
+    }
+
+    /// A graph over no points yet; [`Hnsw::append`] grows it.
+    fn empty(dim: usize, params: HnswParams) -> Self {
+        Self {
+            params,
+            dim,
+            n: 0,
+            points: Vec::new(),
+            poisoned: Vec::new(),
+            levels: Vec::new(),
+            links: Vec::new(),
+            first: vec![0],
+            entry: None,
+            max_level: 0,
+        }
+    }
+
+    /// Give `rows` the ids `self.len()..self.len() + rows.len()` and
+    /// insert them in strict id order — combined with hash-derived levels
+    /// this makes the graph independent of any external concurrency.
+    /// Returns the work counters of the inserts. Rows must have the
+    /// graph's dimensionality.
+    fn append(&mut self, rows: &[Vec<f64>]) -> HnswStats {
+        let (start, n) = (self.n, self.n + rows.len());
+        self.points.reserve(rows.len() * self.dim);
+        for p in rows {
+            self.points.extend_from_slice(p);
+        }
+        self.poisoned
+            .extend(rows.iter().map(|p| p.iter().any(|v| v.is_nan())));
+        self.levels
+            .extend((start..n).map(|id| self.params.level_of(id) as u32));
+        let layers = |id: usize| {
+            if self.poisoned[id] {
+                0
+            } else {
+                self.levels[id] as usize + 1
+            }
+        };
+        let lists = self.links.len() + (start..n).map(layers).sum::<usize>();
+        assert!(lists <= u32::MAX as usize, "Hnsw: too many points");
+        self.first.reserve_exact(rows.len());
+        for id in start..n {
+            self.first.push(self.first[id] + layers(id) as u32);
+        }
+        self.links.reserve_exact(lists - self.links.len());
+        self.links.resize_with(lists, Links::default);
+        self.n = n;
+
+        let mut builder = Builder {
+            visited: Visited::new(n),
+            stats: HnswStats::default(),
+            scored: Vec::new(),
+            picked: Vec::new(),
+        };
+        for id in start as u32..n as u32 {
+            if !self.poisoned[id as usize] {
+                self.insert(id, &mut builder);
+            }
+        }
+        builder.stats
     }
 
     /// The shared, memoized graph over `points`: built at most once per
@@ -350,28 +431,8 @@ impl Hnsw {
         let _span = hinn_obs::span!("index.extend");
         let t0 = hinn_obs::enabled().then(std::time::Instant::now);
 
-        let m = self.n + rows.len();
         let mut graph = self.clone();
-        graph.points.reserve(rows.len() * self.dim);
-        for p in rows {
-            graph.points.extend_from_slice(p);
-        }
-        graph
-            .poisoned
-            .extend(rows.iter().map(|p| p.iter().any(|v| v.is_nan())));
-        graph
-            .levels
-            .extend((self.n..m).map(|id| self.params.level_of(id) as u32));
-        graph.links.extend((self.n..m).map(|_| Vec::new()));
-        graph.n = m;
-
-        let mut visited = Visited::new(m);
-        let mut stats = HnswStats::default();
-        for id in self.n as u32..m as u32 {
-            if !graph.poisoned[id as usize] {
-                graph.insert(id, &mut visited, &mut stats);
-            }
-        }
+        let stats = graph.append(rows);
 
         hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
         if let Some(t0) = t0 {
@@ -405,6 +466,20 @@ impl Hnsw {
     fn point(&self, id: u32) -> &[f64] {
         let i = id as usize * self.dim;
         &self.points[i..i + self.dim]
+    }
+
+    /// Node `id`'s neighbor lists, indexed by layer.
+    #[inline]
+    fn layers(&self, id: u32) -> &[Links] {
+        let id = id as usize;
+        &self.links[self.first[id] as usize..self.first[id + 1] as usize]
+    }
+
+    /// Node `id`'s neighbor list on `layer`.
+    fn list_mut(&mut self, id: u32, layer: usize) -> &mut Links {
+        let i = self.first[id as usize] as usize + layer;
+        debug_assert!(i < self.first[id as usize + 1] as usize);
+        &mut self.links[i]
     }
 
     /// Approximate Euclidean k-NN: neighbor ids, closest first. The
@@ -490,13 +565,14 @@ impl Hnsw {
         h.write_usize(self.dim);
         h.write_u64(self.entry.map(|e| e as u64 + 1).unwrap_or(0));
         h.write_usize(self.max_level);
-        for (id, layers) in self.links.iter().enumerate() {
+        for id in 0..self.n {
+            let layers = self.layers(id as u32);
             h.write_usize(self.levels[id] as usize);
             h.write_u8(u8::from(self.poisoned[id]));
             h.write_usize(layers.len());
             for layer in layers {
-                h.write_usize(layer.len());
-                for &nb in layer {
+                h.write_usize(layer.ids.len());
+                for &nb in &layer.ids {
                     h.write_u64(nb as u64);
                 }
             }
@@ -515,9 +591,9 @@ impl Hnsw {
     ) -> Entry {
         loop {
             let mut improved = false;
-            if let Some(nbs) = self.links[ep.id as usize].get(layer) {
+            if let Some(nbs) = self.layers(ep.id).get(layer) {
                 stats.hops += 1;
-                for &u in nbs {
+                for &u in &nbs.ids {
                     let cand = Entry {
                         dist: dist_sq(self.point(u), query),
                         id: u,
@@ -568,8 +644,8 @@ impl Hnsw {
                 }
             }
             stats.hops += 1;
-            if let Some(nbs) = self.links[cand.id as usize].get(layer) {
-                for &u in nbs {
+            if let Some(nbs) = self.layers(cand.id).get(layer) {
+                for &u in &nbs.ids {
                     if !visited.insert(u) {
                         continue;
                     }
@@ -602,10 +678,8 @@ impl Hnsw {
     /// (`max_m0` on layer 0, `m` above; see [`Hnsw::select_diverse`]),
     /// pruning any neighbor list that overflows its cap back through the
     /// same heuristic.
-    fn insert(&mut self, id: u32, visited: &mut Visited, stats: &mut HnswStats) {
+    fn insert(&mut self, id: u32, b: &mut Builder) {
         let level = self.levels[id as usize] as usize;
-        self.links[id as usize] = vec![Vec::new(); level + 1];
-        let q = self.point(id).to_vec();
         let Some(entry) = self.entry else {
             self.entry = Some(id);
             self.max_level = level;
@@ -613,36 +687,36 @@ impl Hnsw {
         };
 
         let mut ep = Entry {
-            dist: dist_sq(self.point(entry), &q),
+            dist: dist_sq(self.point(entry), self.point(id)),
             id: entry,
         };
-        stats.dist_evals += 1;
+        b.stats.dist_evals += 1;
         for layer in ((level + 1)..=self.max_level).rev() {
-            ep = self.greedy_step(&q, ep, layer, stats);
+            ep = self.greedy_step(self.point(id), ep, layer, &mut b.stats);
         }
 
         let ef = self.params.ef_construction;
         let mut entries = vec![ep];
         for layer in (0..=level.min(self.max_level)).rev() {
-            let found = self.search_layer(&q, &entries, layer, ef, visited, stats);
+            let found = self.search_layer(
+                self.point(id),
+                &entries,
+                layer,
+                ef,
+                &mut b.visited,
+                &mut b.stats,
+            );
             let cap = if layer == 0 {
                 self.params.max_m0
             } else {
                 self.params.m
             };
-            let selected: Vec<u32> = self
-                .select_diverse(found.clone(), cap, stats)
-                .into_iter()
-                .map(|e| e.id)
-                .collect();
-            self.links[id as usize][layer] = selected.clone();
-            for &u in &selected {
-                let list = &mut self.links[u as usize][layer];
-                list.push(id);
-                if list.len() > cap {
-                    self.prune(u, layer, cap, stats);
-                }
+            let mut ids = Vec::with_capacity(found.len().min(cap));
+            let diverse = self.select_diverse(&found, cap, &mut b.picked, &mut ids, &mut b.stats);
+            for &u in &ids {
+                self.link(u, id, layer, cap, b);
             }
+            *self.list_mut(id, layer) = Links { ids, diverse };
             entries = found;
         }
 
@@ -652,22 +726,126 @@ impl Hnsw {
         }
     }
 
-    /// Shrink `node`'s neighbor list on `layer` back to `cap` entries via
-    /// the diversity heuristic (measured from `node`'s own point).
-    fn prune(&mut self, node: u32, layer: usize, cap: usize, stats: &mut HnswStats) {
+    /// Add the link `node → id` on `layer`; a list already at `cap`
+    /// re-selects instead (see [`Hnsw::prune`]).
+    fn link(&mut self, node: u32, id: u32, layer: usize, cap: usize, b: &mut Builder) {
+        #[cfg(test)]
+        if tests::REFERENCE_PRUNE.with(std::cell::Cell::get) {
+            return self.prune_reference(node, id, layer, cap, &mut b.stats);
+        }
+        let list = self.list_mut(node, layer);
+        if list.ids.len() < cap {
+            list.ids.push(id);
+        } else {
+            self.prune(node, id, layer, cap, b);
+        }
+    }
+
+    /// Shrink `node`'s full neighbor list on `layer` plus the new link
+    /// `id` back to `cap` entries via the diversity heuristic, measured
+    /// from `node`'s own point. The distances from `node` are recomputed;
+    /// the pairwise diversity tests are not, where the list's mask is
+    /// valid (see [`Hnsw::reselect`]).
+    fn prune(&mut self, node: u32, id: u32, layer: usize, cap: usize, b: &mut Builder) {
+        let Links { mut ids, diverse } = std::mem::take(self.list_mut(node, layer));
         let p = self.point(node);
-        let scored: Vec<Entry> = self.links[node as usize][layer]
-            .iter()
-            .map(|&u| {
-                stats.dist_evals += 1;
-                Entry {
-                    dist: dist_sq(self.point(u), p),
-                    id: u,
+        b.scored.clear();
+        b.scored.extend(ids.iter().chain([&id]).map(|&u| Entry {
+            dist: dist_sq(self.point(u), p),
+            id: u,
+        }));
+        b.stats.dist_evals += b.scored.len();
+        ids.clear();
+        let diverse = if diverse & MASK_VALID != 0 {
+            self.reselect(&mut b.scored, diverse, &mut ids, &mut b.stats)
+        } else {
+            b.scored.sort_unstable();
+            self.select_diverse(&b.scored, cap, &mut b.picked, &mut ids, &mut b.stats)
+        };
+        // A list that grew by pushes may hold spare capacity; a pruned list
+        // never needs more than `cap`.
+        ids.shrink_to(cap);
+        *self.list_mut(node, layer) = Links { ids, diverse };
+    }
+
+    /// [`Hnsw::select_diverse`] of a masked list that overflowed by one
+    /// link, given the list's valid `mask`. `scored` holds the list's
+    /// `cap` entries in `(dist, id)` order, then the new link `x`.
+    ///
+    /// Alg. 4 decides each entry against the kept-diverse entries ahead of
+    /// it only. Every entry the previous selection dropped was either
+    /// never examined or spilled, and so blocked nobody; the mask's bits
+    /// are therefore exactly what a full rerun over the list computes. So:
+    ///
+    /// * entries ahead of `x` keep their bit;
+    /// * `x` is tested against the kept-diverse entries ahead of it;
+    /// * a diverse entry behind `x` passed against every old diverse entry
+    ///   ahead of it, so it is tested only against the entries that became
+    ///   diverse in this pass (`x`, and spilled entries promoted);
+    /// * a spilled entry behind `x` is still blocked, unless an entry
+    ///   ahead of it was demoted in this pass: then it gets the full test.
+    ///
+    /// The backfill is that of [`Hnsw::select_diverse`]; with `cap + 1`
+    /// candidates it drops exactly the last entry that is not kept-diverse.
+    /// Writes the kept ids to `out` and returns their (valid) mask.
+    fn reselect(
+        &self,
+        scored: &mut [Entry],
+        mask: u64,
+        out: &mut Vec<u32>,
+        stats: &mut HnswStats,
+    ) -> u64 {
+        let cap = scored.len() - 1;
+        debug_assert!(cap <= MASK_MAX_CAP);
+        let x = scored[cap];
+        let rank = scored[..cap].partition_point(|e| *e < x);
+        scored[rank..].rotate_right(1);
+        debug_assert!(scored.windows(2).all(|w| w[0] < w[1]));
+
+        let ahead = (1u64 << rank) - 1;
+        let was = (mask & ahead) | ((mask & !MASK_VALID & !ahead) << 1);
+        let (mut kept, mut fresh, mut demoted) = (0u64, 0u64, false);
+        for (i, e) in scored.iter().enumerate() {
+            if kept.count_ones() as usize >= cap {
+                break;
+            }
+            let bit = 1u64 << i;
+            let before = was & bit != 0;
+            let now = if i < rank {
+                before
+            } else if i == rank || (!before && demoted) {
+                bits(kept).all(|j| self.passes(e, &scored[j], stats))
+            } else {
+                before && bits(fresh).all(|j| self.passes(e, &scored[j], stats))
+            };
+            if now {
+                kept |= bit;
+                if !before {
+                    fresh |= bit;
                 }
-            })
-            .collect();
-        let kept = self.select_diverse(scored, cap, stats);
-        self.links[node as usize][layer] = kept.into_iter().map(|e| e.id).collect();
+            } else if before {
+                demoted = true;
+            }
+        }
+
+        let spilled = !kept & (u64::MAX >> (64 - scored.len()));
+        let drop = 63 - spilled.leading_zeros() as usize;
+        out.extend(
+            scored
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != drop)
+                .map(|(_, e)| e.id),
+        );
+        let below = (1u64 << drop) - 1;
+        (kept & below) | ((kept >> 1) & !below) | MASK_VALID
+    }
+
+    /// One Alg. 4 test: `e` is at least as close to the base point as to
+    /// the kept entry `s`.
+    fn passes(&self, e: &Entry, s: &Entry, stats: &mut HnswStats) -> bool {
+        stats.dist_evals += 1;
+        dist_sq(self.point(e.id), self.point(s.id)) >= e.dist
     }
 
     /// The neighbor selection of Malkov & Yashunin Alg. 4
@@ -678,50 +856,161 @@ impl Hnsw {
     /// entries. Plain closest-`cap` truncation points every link into the
     /// local cluster and can disconnect layer 0 on clustered data; the
     /// heuristic preserves the long-range bridges (paper §4.1).
-    /// Deterministic: candidates are scanned in the total `(dist, id)`
-    /// order and all comparisons are between finite distances (poisoned
+    /// Deterministic: `cands` must be sorted in the total `(dist, id)`
+    /// order, and all comparisons are between finite distances (poisoned
     /// points never enter the graph). Entries must carry distances
     /// measured from the base point.
+    ///
+    /// Writes the kept ids to `out` (empty on entry) in `(dist, id)` order
+    /// and returns their diversity mask, valid iff there were more than
+    /// `cap` candidates and `cap ≤ 63` (see [`Links::diverse`]). `picked`
+    /// is scratch.
     fn select_diverse(
         &self,
-        mut cands: Vec<Entry>,
+        cands: &[Entry],
         cap: usize,
+        picked: &mut Vec<usize>,
+        out: &mut Vec<u32>,
         stats: &mut HnswStats,
-    ) -> Vec<Entry> {
-        cands.sort_unstable();
+    ) -> u64 {
+        debug_assert!(cands.windows(2).all(|w| w[0] < w[1]));
         if cands.len() <= cap {
-            return cands;
+            out.extend(cands.iter().map(|e| e.id));
+            return 0;
         }
-        let mut kept: Vec<Entry> = Vec::with_capacity(cap);
-        let mut spilled: Vec<Entry> = Vec::new();
-        for e in cands {
-            if kept.len() >= cap {
+        picked.clear();
+        for (i, e) in cands.iter().enumerate() {
+            if picked.len() >= cap {
                 break;
             }
-            let diverse = kept.iter().all(|s| {
-                stats.dist_evals += 1;
-                dist_sq(self.point(e.id), self.point(s.id)) >= e.dist
-            });
-            if diverse {
-                kept.push(e);
+            if picked.iter().all(|&j| self.passes(e, &cands[j], stats)) {
+                picked.push(i);
+            }
+        }
+        // Backfill: every diverse entry, plus the nearest spilled ones.
+        let (mut mask, mut spare) = (0u64, cap - picked.len());
+        let mut next = picked.iter().copied().peekable();
+        for (i, e) in cands.iter().enumerate() {
+            if out.len() == cap {
+                break;
+            }
+            if next.next_if_eq(&i).is_some() {
+                if cap <= MASK_MAX_CAP {
+                    mask |= 1 << out.len();
+                }
+            } else if spare > 0 {
+                spare -= 1;
             } else {
-                spilled.push(e);
+                continue;
             }
+            out.push(e.id);
         }
-        for e in spilled {
-            if kept.len() >= cap {
-                break;
-            }
-            kept.push(e);
+        if cap <= MASK_MAX_CAP {
+            mask | MASK_VALID
+        } else {
+            0
         }
-        kept.sort_unstable();
-        kept
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Route every link through [`Hnsw::prune_reference`] on this
+        /// thread.
+        pub(super) static REFERENCE_PRUNE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The reference spec of [`Hnsw::link`] and [`Hnsw::prune`]: push the
+    /// link, and on overflow rescore the whole list and rerun the full
+    /// Alg. 4 selection, with no mask.
+    impl Hnsw {
+        pub(super) fn prune_reference(
+            &mut self,
+            node: u32,
+            id: u32,
+            layer: usize,
+            cap: usize,
+            stats: &mut HnswStats,
+        ) {
+            let list = &mut self.list_mut(node, layer).ids;
+            list.push(id);
+            if list.len() <= cap {
+                return;
+            }
+            let p = self.point(node);
+            let scored: Vec<Entry> = self.layers(node)[layer]
+                .ids
+                .iter()
+                .map(|&u| {
+                    stats.dist_evals += 1;
+                    Entry {
+                        dist: dist_sq(self.point(u), p),
+                        id: u,
+                    }
+                })
+                .collect();
+            let kept = self.select_diverse_reference(scored, cap, stats);
+            *self.list_mut(node, layer) = Links {
+                ids: kept.into_iter().map(|e| e.id).collect(),
+                diverse: 0,
+            };
+        }
+
+        fn select_diverse_reference(
+            &self,
+            mut cands: Vec<Entry>,
+            cap: usize,
+            stats: &mut HnswStats,
+        ) -> Vec<Entry> {
+            cands.sort_unstable();
+            if cands.len() <= cap {
+                return cands;
+            }
+            let mut kept: Vec<Entry> = Vec::with_capacity(cap);
+            let mut spilled: Vec<Entry> = Vec::new();
+            for e in cands {
+                if kept.len() >= cap {
+                    break;
+                }
+                let diverse = kept.iter().all(|s| {
+                    stats.dist_evals += 1;
+                    dist_sq(self.point(e.id), self.point(s.id)) >= e.dist
+                });
+                if diverse {
+                    kept.push(e);
+                } else {
+                    spilled.push(e);
+                }
+            }
+            for e in spilled {
+                if kept.len() >= cap {
+                    break;
+                }
+                kept.push(e);
+            }
+            kept.sort_unstable();
+            kept
+        }
+    }
+
+    /// Build over `points` with the incremental prune, or with the
+    /// reference one, and return the build's own work counters.
+    fn build_counted(
+        points: &[Vec<f64>],
+        params: HnswParams,
+        reference: bool,
+    ) -> (Hnsw, HnswStats) {
+        REFERENCE_PRUNE.with(|r| r.set(reference));
+        let mut graph = Hnsw::empty(points[0].len(), params);
+        let stats = graph.append(points);
+        REFERENCE_PRUNE.with(|r| r.set(false));
+        (graph, stats)
+    }
 
     /// Deterministic xorshift point cloud (the harness-wide generator).
     fn cloud(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -803,9 +1092,10 @@ mod tests {
             pts[i][1] = f64::NAN;
         }
         let graph = Hnsw::build(pts.clone(), HnswParams::default());
-        for (id, layers) in graph.links.iter().enumerate() {
+        for id in 0..graph.n as u32 {
+            let layers = graph.layers(id);
             for layer in layers {
-                for &nb in layer {
+                for &nb in &layer.ids {
                     assert!(
                         !graph.poisoned[nb as usize],
                         "node {id} links poisoned {nb}"
@@ -923,13 +1213,14 @@ mod tests {
         let params = HnswParams::default();
         let graph = Hnsw::build(pts, params);
         let mut max_deg0 = 0;
-        for layers in &graph.links {
+        for id in 0..graph.n as u32 {
+            let layers = graph.layers(id);
             if let Some(l0) = layers.first() {
-                max_deg0 = max_deg0.max(l0.len());
-                assert!(l0.len() <= params.max_m0, "layer-0 cap violated");
+                max_deg0 = max_deg0.max(l0.ids.len());
+                assert!(l0.ids.len() <= params.max_m0, "layer-0 cap violated");
             }
             for upper in layers.iter().skip(1) {
-                assert!(upper.len() <= params.m, "upper-layer cap violated");
+                assert!(upper.ids.len() <= params.m, "upper-layer cap violated");
             }
         }
         // Fresh nodes link up to max_m0 (not just m) neighbors on layer 0;
@@ -993,5 +1284,137 @@ mod tests {
         v.next_epoch(); // wraps: stamps reset
         assert!(v.insert(2));
         assert_eq!(v.epoch, 1);
+    }
+
+    /// A clustered cloud: `k` tight clusters around uniform centers, with
+    /// every 17th row a duplicate of the row before it, so distance ties
+    /// reach the `(dist, id)` tie-break.
+    fn clustered(n: usize, d: usize, k: usize, seed: u64) -> Vec<Vec<f64>> {
+        let centers = cloud(k, d, seed ^ 0xC1);
+        let mut pts: Vec<Vec<f64>> = cloud(n, d, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let c = &centers[i % k];
+                c.iter().zip(&e).map(|(c, x)| c + x * 0.02).collect()
+            })
+            .collect();
+        for i in (17..n).step_by(17) {
+            pts[i] = pts[i - 1].clone();
+        }
+        pts
+    }
+
+    /// The pinned fixtures: name, points, params, and the point count of
+    /// the prefix the graph is first built over (the rest is added by
+    /// [`Hnsw::extended`] in uneven chunks).
+    fn fixture(name: &str) -> (Vec<Vec<f64>>, HnswParams, usize) {
+        let p = HnswParams::default();
+        match name {
+            "uniform" => (cloud(800, 8, 0x0A11), p, 800),
+            "clustered" => (clustered(800, 10, 6, 0xC1A5), p, 800),
+            "poisoned" => {
+                let mut pts = cloud(500, 6, 0xBAD5);
+                for i in (5..500).step_by(37) {
+                    pts[i][i % 6] = f64::NAN;
+                }
+                (pts, p, 500)
+            }
+            "m2" => (cloud(400, 5, 0x22), p.with_m(2), 400),
+            "m12" => (cloud(600, 7, 0x12), p.with_m(12), 600),
+            "m40" => (cloud(700, 6, 0x40), p.with_m(40), 700),
+            "extended" => (clustered(600, 6, 4, 0xE7), p.with_seed(11), 250),
+            other => panic!("unknown fixture {other}"),
+        }
+    }
+
+    /// Build a fixture's graph: over the prefix, then extended with the
+    /// rest in chunks of 80, 1 and the remainder.
+    fn build_fixture(name: &str) -> Hnsw {
+        let (pts, params, prefix) = fixture(name);
+        let mut graph = Hnsw::build(pts[..prefix].to_vec(), params);
+        let mut start = prefix;
+        for len in [80, 1, usize::MAX] {
+            let stop = start.saturating_add(len).min(pts.len());
+            graph = graph.extended(&pts[start..stop]);
+            start = stop;
+        }
+        graph
+    }
+
+    /// Digests of the fixtures, captured from the full-rerun prune (the
+    /// reference above): any change to the graph, however deterministic,
+    /// fails here.
+    const PINNED: [(&str, u128); 7] = [
+        ("uniform", 11324404173836025666103559944705739900),
+        ("clustered", 209787826362778679669555507545830551948),
+        ("poisoned", 13296566430087271932980428200328615887),
+        ("m2", 9351342422828043101039035071564338595),
+        ("m12", 107889493457689379480035078204715055365),
+        ("m40", 18245066546225623072068349631565526174),
+        ("extended", 148278654738257747877067722347252575013),
+    ];
+
+    #[test]
+    fn fixture_graphs_are_pinned() {
+        for (name, want) in PINNED {
+            assert_eq!(build_fixture(name).digest().0, want, "fixture {name}");
+        }
+        let (pts, params, _) = fixture("extended");
+        assert_eq!(
+            Hnsw::build(pts, params).digest(),
+            build_fixture("extended").digest()
+        );
+    }
+
+    #[test]
+    fn incremental_prune_halves_the_build_work() {
+        let pts = clustered(2_000, 10, 6, 0x2000);
+        let params = HnswParams::default();
+        let (reference, spec) = build_counted(&pts, params, true);
+        let (graph, stats) = build_counted(&pts, params, false);
+        assert_eq!(graph.digest(), reference.digest());
+        assert!(
+            2 * stats.dist_evals <= spec.dist_evals,
+            "incremental {} vs reference {} distance evaluations",
+            stats.dist_evals,
+            spec.dist_evals
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn incremental_prune_matches_the_reference(
+            n in 2..300usize,
+            d in 1..8usize,
+            m in 2..12usize,
+            ef in 2..48usize,
+            seed in 0..u64::MAX,
+            split in 0.0..1.0f64,
+            shape in 0..3usize,
+        ) {
+            let mut pts = match shape {
+                0 => cloud(n, d, seed),
+                _ => clustered(n, d, 3, seed),
+            };
+            if shape == 2 {
+                for i in (3..n).step_by(23) {
+                    pts[i][0] = f64::NAN;
+                }
+            }
+            let params = HnswParams::default()
+                .with_m(m)
+                .with_ef_construction(ef)
+                .with_seed(seed);
+            let (reference, _) = build_counted(&pts, params, true);
+            let prefix = 1 + (split * (n - 1) as f64) as usize;
+            let mut grown = Hnsw::build(pts[..prefix].to_vec(), params);
+            for chunk in pts[prefix..].chunks(1 + n / 5) {
+                grown = grown.extended(chunk);
+            }
+            prop_assert_eq!(grown.digest(), reference.digest());
+        }
     }
 }
