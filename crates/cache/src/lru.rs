@@ -104,6 +104,19 @@ impl<V> LruCache<V> {
         }
     }
 
+    /// The resident value for `key`, if any, **without** touching the
+    /// cache's state: no `cache.hit`/`cache.miss` counter and no recency
+    /// bump. Callers that must know ahead of time which of a batch of
+    /// probes will miss (to compute the misses together) peek first and
+    /// then replay the real probes, so the counters and the eviction order
+    /// stay those of the probes alone.
+    pub fn peek(&self, key: Fingerprint) -> Option<Arc<V>> {
+        if self.is_disabled() {
+            return None;
+        }
+        self.lock().map.get(&key.0).map(|slot| slot.value.clone())
+    }
+
     /// Insert `value` under `key`, evicting the least-recently-used entry
     /// if the cache is full. If the key is already resident (e.g. a racing
     /// miss computed the same value), the existing entry is kept — both
@@ -314,6 +327,32 @@ mod tests {
         assert_eq!(report.counter("cache.hit"), 1);
         assert_eq!(report.counter("cache.miss"), 2);
         assert_eq!(report.counter("cache.evict"), 1);
+    }
+
+    #[test]
+    fn peek_neither_counts_nor_bumps_recency() {
+        let _x = crate::testlock::exclusive();
+        let rec = Arc::new(hinn_obs::SessionRecorder::new());
+        let report = {
+            let _g = hinn_obs::install(rec.clone());
+            let c: LruCache<u64> = LruCache::new(2);
+            c.insert(fp(1), 10);
+            c.insert(fp(2), 20);
+            assert_eq!(c.peek(fp(1)).as_deref(), Some(&10));
+            assert!(c.peek(fp(3)).is_none());
+            // 1 is still the LRU entry: the peek did not refresh it.
+            c.insert(fp(3), 30);
+            assert!(
+                c.peek(fp(1)).is_none(),
+                "peeked entry was still evicted first"
+            );
+            assert!(c.peek(fp(2)).is_some());
+            rec.report()
+        };
+        assert_eq!(report.counter("cache.hit"), 0);
+        assert_eq!(report.counter("cache.miss"), 0);
+        assert_eq!(report.counter("cache.evict"), 1);
+        assert!(LruCache::<u64>::new(0).peek(fp(1)).is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! |--------------|-----------------------------------------|----------|
 //! | `projection` | the Fig. 3 halving pipeline (plus its degradation events) | alive set, query, search subspace, support, mode |
 //! | `profile`    | projected 2-D coordinates + grid KDE (Fig. 5) | alive set, query, 2-D projection, grid/bandwidth settings |
-//! | `coords`     | whole-data coordinates inside a search subspace | alive set, subspace |
+//! | `coords`     | whole-data coordinates inside a search subspace, column-major | alive set, subspace |
 //! | `gamma`      | data variance `γ` along one candidate direction | alive set, subspace, direction |
 //!
 //! Because every cached value is the exact (bit-for-bit) output the
@@ -39,8 +39,9 @@ pub struct SessionCache {
     pub(crate) profile: LruCache<(VisualProfile, ProfileNotes)>,
     /// Data variances along candidate directions.
     pub(crate) gamma: LruCache<f64>,
-    /// Whole-data coordinates inside a search subspace.
-    pub(crate) coords: LruCache<Vec<Vec<f64>>>,
+    /// Whole-data coordinates inside a search subspace, column-major:
+    /// `dim` columns of one value per alive point, end to end.
+    pub(crate) coords: LruCache<Vec<f64>>,
 }
 
 impl SessionCache {
@@ -127,13 +128,31 @@ impl SessionCache {
     /// Key of the data variance along one candidate direction (expressed
     /// in `subspace` coordinates).
     pub fn gamma_key(alive: Fingerprint, subspace: &Subspace, direction: &[f64]) -> Fingerprint {
-        let mut h = Fnv128::new();
-        h.write_str("gamma");
-        h.write_fingerprint(alive);
-        write_subspace(&mut h, subspace);
-        h.write_usize(direction.len());
-        h.write_f64s(direction);
-        h.finish()
+        Self::gamma_keys(alive, subspace, &[direction])[0]
+    }
+
+    /// [`SessionCache::gamma_key`] of every direction in `directions`. The
+    /// (alive set, subspace) prefix, which dominates the hashed bytes, is
+    /// absorbed once and its hasher state cloned per direction, so each key
+    /// is the very fingerprint of its full input.
+    pub fn gamma_keys(
+        alive: Fingerprint,
+        subspace: &Subspace,
+        directions: &[&[f64]],
+    ) -> Vec<Fingerprint> {
+        let mut prefix = Fnv128::new();
+        prefix.write_str("gamma");
+        prefix.write_fingerprint(alive);
+        write_subspace(&mut prefix, subspace);
+        directions
+            .iter()
+            .map(|direction| {
+                let mut h = prefix.clone();
+                h.write_usize(direction.len());
+                h.write_f64s(direction);
+                h.finish()
+            })
+            .collect()
     }
 
     /// Key of one rendered visual profile.
@@ -197,7 +216,7 @@ fn write_subspace(h: &mut Fnv128, s: &Subspace) {
 
 /// Everything the projection pipeline needs to consult the session's
 /// inner caches (coordinates and gammas) while computing a view.
-pub(crate) struct ProjectionCacheCtx<'a> {
+pub struct ProjectionCacheCtx<'a> {
     /// Fingerprint of the candidate set the pipeline runs over.
     pub alive_fp: Fingerprint,
     /// The session's caches.
@@ -248,6 +267,26 @@ mod tests {
                 ProjectionMode::Arbitrary
             )
         );
+    }
+
+    #[test]
+    fn gamma_keys_hash_the_full_input_of_each_direction() {
+        let alive = Fingerprint(11);
+        let s = plane(3);
+        let dirs: [&[f64]; 3] = [&[1.0, 0.0], &[0.0, 1.0], &[0.6, -0.8]];
+        let keys = SessionCache::gamma_keys(alive, &s, &dirs);
+        for (dir, key) in dirs.iter().zip(&keys) {
+            let mut h = Fnv128::new();
+            h.write_str("gamma");
+            h.write_fingerprint(alive);
+            write_subspace(&mut h, &s);
+            h.write_usize(dir.len());
+            h.write_f64s(dir);
+            assert_eq!(*key, h.finish());
+            assert_eq!(*key, SessionCache::gamma_key(alive, &s, dir));
+        }
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!(keys[1], keys[2]);
     }
 
     #[test]
@@ -315,9 +354,7 @@ mod tests {
     fn clear_empties_but_keeps_policy() {
         let c = SessionCache::new(CachePolicy::default());
         let _ = c.gamma.get_or_insert_with(Fingerprint(1), || 1.0);
-        let _ = c
-            .coords
-            .get_or_insert_with(Fingerprint(2), || vec![vec![1.0]]);
+        let _ = c.coords.get_or_insert_with(Fingerprint(2), || vec![1.0]);
         assert_eq!(c.len(), 2);
         c.clear();
         assert!(c.is_empty());

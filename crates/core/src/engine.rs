@@ -49,7 +49,10 @@ use crate::degrade::{DegradationEvent, DegradationKind, DegradationLog};
 use crate::diagnosis::SearchDiagnosis;
 use crate::error::HinnError;
 use crate::meaning::iteration_probabilities;
-use crate::projection::{try_find_query_centered_projection_ctx, ProjectionResult};
+use crate::projection::{
+    chunk_of, column_views, gather_columns, try_find_query_centered_projection_cols,
+    ProjectionResult,
+};
 use crate::search::SearchOutcome;
 use crate::snapshot::{self, EngineState, SessionSnapshot};
 use crate::transcript::{MajorRecord, MinorPhases, MinorRecord, Transcript};
@@ -117,7 +120,9 @@ impl ViewRequest {
 
 /// In-flight state of one major iteration.
 struct MajorCtx {
-    alive_points: Vec<Vec<f64>>,
+    /// The alive points as columns, gathered once per major: column `j`
+    /// is `alive_cols[j·n .. (j+1)·n]`, `n` the alive count.
+    alive_cols: Vec<f64>,
     alive_fp: Option<Fingerprint>,
     counts: PreferenceCounts,
     ec: Subspace,
@@ -185,6 +190,9 @@ pub struct SessionEngine {
     pub(crate) major: usize,
     /// Termination-by-stability latch.
     pub(crate) stopped: bool,
+    /// Squared full-space distance of every point to the query, the
+    /// ranking's tie-break. Filled at the first ranking, never at open.
+    query_dist_sq: Option<Vec<f64>>,
     cur: Option<MajorCtx>,
     pending: Option<PendingView>,
     status: EngineStatus,
@@ -292,6 +300,7 @@ impl SessionEngine {
             prev_top: None,
             major: 0,
             stopped: false,
+            query_dist_sq: None,
             cur: None,
             pending: None,
             status: EngineStatus::Active,
@@ -685,7 +694,7 @@ impl SessionEngine {
                 "cursor is outside the session's bounds".to_string(),
             ));
         }
-        let alive_points: Vec<Vec<f64>> = state.alive.iter().map(|&i| points[i].clone()).collect();
+        let alive_cols = gather_columns(d, state.alive.iter().map(|&i| points[i].as_slice()));
         let alive_fp = dataset_fp.map(|fp| SessionCache::alive_key(fp, &state.alive));
         let spent_at_snapshot = Duration::from_nanos(state.spent_ns);
         let mut engine = SessionEngine {
@@ -713,8 +722,9 @@ impl SessionEngine {
             prev_top: state.prev_top,
             major: state.major,
             stopped: state.stopped,
+            query_dist_sq: None,
             cur: Some(MajorCtx {
-                alive_points,
+                alive_cols,
                 alive_fp,
                 counts: PreferenceCounts::from_parts(state.counts_v, state.counts_picks),
                 ec: state.ec,
@@ -804,8 +814,10 @@ impl SessionEngine {
         let _major_span = hinn_obs::span!("search.major");
         // Candidate-set size entering this major iteration.
         hinn_obs::observe("search.candidates", self.alive.len() as f64);
-        let alive_points: Vec<Vec<f64>> =
-            self.alive.iter().map(|&i| self.points[i].clone()).collect();
+        let alive_cols = gather_columns(
+            self.d,
+            self.alive.iter().map(|&i| self.points[i].as_slice()),
+        );
         // Every cache key below derives from this fingerprint, so a stale
         // entry is unreachable by construction: shrinking the alive set
         // changes the key instead of invalidating anything.
@@ -813,7 +825,7 @@ impl SessionEngine {
             .dataset_fp
             .map(|fp| SessionCache::alive_key(fp, &self.alive));
         self.cur = Some(MajorCtx {
-            alive_points,
+            alive_cols,
             alive_fp,
             counts: PreferenceCounts::new(self.n),
             ec: Subspace::full(self.d),
@@ -879,6 +891,8 @@ impl SessionEngine {
         };
         let minor = cur.minor;
         let major = self.major;
+        let n_alive = self.alive.len();
+        let cols = column_views(&cur.alive_cols, n_alive, self.d);
         // Phase wall-clocks for the transcript; only read while a recorder
         // is installed so the disabled path stays free of clock calls (and
         // the invariance tests compare fields that exist on both paths).
@@ -901,9 +915,9 @@ impl SessionEngine {
                     self.config.projection_mode,
                 );
                 self.cache.projection.get_or_try_insert_with(key, || {
-                    try_find_query_centered_projection_ctx(
+                    try_find_query_centered_projection_cols(
                         par,
-                        &cur.alive_points,
+                        &cols,
                         &self.query,
                         &cur.ec,
                         self.s_eff,
@@ -912,9 +926,9 @@ impl SessionEngine {
                     )
                 })?
             }
-            None => Arc::new(try_find_query_centered_projection_ctx(
+            None => Arc::new(try_find_query_centered_projection_cols(
                 par,
-                &cur.alive_points,
+                &cols,
                 &self.query,
                 &cur.ec,
                 self.s_eff,
@@ -932,11 +946,19 @@ impl SessionEngine {
         // step above is part of the memoized value, so a hit skips both
         // the O(n·d) projection and the O(n·p²) density estimation.
         let build_profile = || {
-            let mut pts2d: Vec<[f64; 2]> = vec![[0.0; 2]; cur.alive_points.len()];
+            // The view's first two coordinates, `dot_cols` over each chunk
+            // of the alive columns: bit-identical to `project(p)[0..2]`.
+            let basis = proj.projection.basis();
+            let mut pts2d: Vec<[f64; 2]> = vec![[0.0; 2]; n_alive];
             hinn_par::fill_chunks(par, &mut pts2d, |start, slice| {
+                let len = slice.len();
+                let chunk = chunk_of(&cols, start, len);
+                let mut x = hinn_cache::PooledF64::take_zeroed(len);
+                let mut y = hinn_cache::PooledF64::take_zeroed(len);
+                hinn_linalg::simd::dot_cols(&chunk, &basis[0], &mut x);
+                hinn_linalg::simd::dot_cols(&chunk, &basis[1], &mut y);
                 for (off, slot) in slice.iter_mut().enumerate() {
-                    let c = proj.projection.project(&cur.alive_points[start + off]);
-                    *slot = [c[0], c[1]];
+                    *slot = [x[off], y[off]];
                 }
             });
             let qc = proj.projection.project(&self.query);
@@ -1104,7 +1126,7 @@ impl SessionEngine {
             .iter()
             .map(|p| p / self.majors_run as f64)
             .collect();
-        let top = rank_neighbors(&current_probs, &self.points, &self.query, self.s_eff);
+        let top = self.rank(&current_probs);
         let overlap = self.prev_top.as_ref().map(|prev| {
             let prev_set: std::collections::HashSet<usize> = prev.iter().copied().collect();
             top.iter().filter(|i| prev_set.contains(i)).count() as f64 / self.s_eff.max(1) as f64
@@ -1129,6 +1151,19 @@ impl SessionEngine {
         self.major += 1;
     }
 
+    /// The top-`s` ids by `probabilities` ([`rank_neighbors`]), computing
+    /// the tie-break distances on first use.
+    fn rank(&mut self, probabilities: &[f64]) -> Vec<usize> {
+        let (points, query) = (&self.points, &self.query);
+        let dist_sq = self.query_dist_sq.get_or_insert_with(|| {
+            points
+                .iter()
+                .map(|p| hinn_linalg::vector::dist_sq(p, query))
+                .collect()
+        });
+        rank_neighbors(probabilities, dist_sq, self.s_eff)
+    }
+
     /// Final probabilities, ranking and diagnosis (§4.1–4.2).
     fn finish_session(&mut self) -> SearchOutcome {
         let probabilities: Vec<f64> = if self.majors_run > 0 {
@@ -1139,7 +1174,7 @@ impl SessionEngine {
         } else {
             std::mem::take(&mut self.p_sum)
         };
-        let neighbors = rank_neighbors(&probabilities, &self.points, &self.query, self.s_eff);
+        let neighbors = self.rank(&probabilities);
         let transcript = std::mem::take(&mut self.transcript);
         let diagnosis = SearchDiagnosis::derive(&probabilities, &transcript, &self.drop_config);
         SearchOutcome {
@@ -1207,29 +1242,29 @@ fn config_fingerprint(config: &SearchConfig) -> Fingerprint {
     h.finish()
 }
 
-/// Rank original indices by probability (descending), breaking ties by
-/// full-space Euclidean distance to the query (ascending), then index.
-/// Probabilities and squared distances are non-negative, so `total_cmp`
-/// coincides with the old partial order while staying total on poisoned
-/// (NaN) values.
-pub(crate) fn rank_neighbors(
-    probabilities: &[f64],
-    points: &[Vec<f64>],
-    query: &[f64],
-    k: usize,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..probabilities.len()).collect();
-    order.sort_by(|&a, &b| {
+/// The top `k` original indices by probability (descending), breaking
+/// ties by squared full-space distance to the query (`dist_sq[i]`,
+/// ascending), then index. The comparator is a total order (`total_cmp`,
+/// and no two ids tie), so selecting the top `k` and sorting only those
+/// returns exactly the first `k` of the full sort. Probabilities and
+/// squared distances are non-negative, so `total_cmp` coincides with the
+/// partial order while staying total on poisoned (NaN) values.
+pub(crate) fn rank_neighbors(probabilities: &[f64], dist_sq: &[f64], k: usize) -> Vec<usize> {
+    let cmp = |&a: &usize, &b: &usize| {
         probabilities[b]
             .total_cmp(&probabilities[a])
-            .then_with(|| {
-                let da = hinn_linalg::vector::dist_sq(&points[a], query);
-                let db = hinn_linalg::vector::dist_sq(&points[b], query);
-                da.total_cmp(&db)
-            })
+            .then(dist_sq[a].total_cmp(&dist_sq[b]))
             .then(a.cmp(&b))
-    });
-    order.truncate(k);
+    };
+    let mut order: Vec<usize> = (0..probabilities.len()).collect();
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < order.len() {
+        order.select_nth_unstable_by(k - 1, cmp);
+        order.truncate(k);
+    }
+    order.sort_unstable_by(cmp);
     order
 }
 
@@ -1239,6 +1274,67 @@ mod tests {
     use crate::config::ProjectionMode;
     use hinn_data::EpochError;
     use hinn_user::{HeuristicUser, UserModel};
+    use proptest::prelude::*;
+
+    /// The sort-based ranking [`rank_neighbors`] replaced, kept as its
+    /// spec: sort every id, recomputing both query distances inside the
+    /// comparator on each probability tie, and keep the first `k`.
+    fn rank_neighbors_reference(
+        probabilities: &[f64],
+        points: &[Vec<f64>],
+        query: &[f64],
+        k: usize,
+    ) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..probabilities.len()).collect();
+        order.sort_by(|&a, &b| {
+            probabilities[b]
+                .total_cmp(&probabilities[a])
+                .then_with(|| {
+                    let da = hinn_linalg::vector::dist_sq(&points[a], query);
+                    let db = hinn_linalg::vector::dist_sq(&points[b], query);
+                    da.total_cmp(&db)
+                })
+                .then(a.cmp(&b))
+        });
+        order.truncate(k);
+        order
+    }
+
+    /// Points on a coarse integer lattice (so duplicates are common),
+    /// probabilities from a handful of masses (so ties are common), a
+    /// query, and a `k` that straddles 0 and `n`.
+    #[allow(clippy::type_complexity)]
+    fn ranking_case() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, usize)> {
+        (1..400usize).prop_flat_map(|n| {
+            (
+                proptest::collection::vec(proptest::collection::vec(0..3u32, 3..=3), n..=n),
+                proptest::collection::vec(0..4u32, n..=n),
+                proptest::collection::vec(0..3u32, 3..=3),
+                0..n + 3,
+            )
+                .prop_map(|(pts, mass, q, k)| {
+                    let lattice = |v: Vec<u32>| v.into_iter().map(f64::from).collect::<Vec<f64>>();
+                    let probs = mass.into_iter().map(|m| f64::from(m) / 4.0).collect();
+                    (pts.into_iter().map(lattice).collect(), probs, lattice(q), k)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn selection_ranking_equals_the_full_sort((points, probs, query, k) in ranking_case()) {
+            let dist_sq: Vec<f64> = points
+                .iter()
+                .map(|p| hinn_linalg::vector::dist_sq(p, &query))
+                .collect();
+            prop_assert_eq!(
+                rank_neighbors(&probs, &dist_sq, k),
+                rank_neighbors_reference(&probs, &points, &query, k)
+            );
+        }
+    }
 
     fn planted() -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut state = 0xDA3E39CB94B95BDBu64;

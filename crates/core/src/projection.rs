@@ -20,8 +20,9 @@ use crate::cache::{ProjectionCacheCtx, SessionCache};
 use crate::config::ProjectionMode;
 use crate::degrade::{DegradationEvent, DegradationKind};
 use crate::error::HinnError;
+use hinn_linalg::stats::variances_along_cols_with;
 use hinn_linalg::{covariance_matrix, try_jacobi_eigen, Matrix, Parallelism, Subspace};
-use hinn_par::fill_chunks;
+use hinn_par::{fill_chunks, map_reduce_chunks};
 use std::sync::Arc;
 
 /// Result of one projection search: the 2-D projection to show the user and
@@ -34,6 +35,67 @@ pub struct ProjectionResult {
     pub remainder: Subspace,
     /// Variance ratios `λᵢ/γᵢ` of the final 2 directions (diagnostic).
     pub variance_ratios: Vec<f64>,
+}
+
+/// Gather `rows` (each of length `d`) into one column-major buffer: column
+/// `j` is `out[j·n .. (j+1)·n]` with `n = rows.len()` (see
+/// [`column_views`]).
+///
+/// # Panics
+/// Panics if a row's length differs from `d`.
+pub(crate) fn gather_columns<'a, I>(d: usize, rows: I) -> Vec<f64>
+where
+    I: ExactSizeIterator<Item = &'a [f64]>,
+{
+    let n = rows.len();
+    let mut out = vec![0.0; d * n];
+    for (i, row) in rows.enumerate() {
+        assert_eq!(row.len(), d, "gather_columns: dimension mismatch");
+        for (j, &v) in row.iter().enumerate() {
+            out[j * n + i] = v;
+        }
+    }
+    out
+}
+
+/// The `d` column slices of a column-major buffer of `n` points.
+pub(crate) fn column_views(buf: &[f64], n: usize, d: usize) -> Vec<&[f64]> {
+    (0..d).map(|j| &buf[j * n..(j + 1) * n]).collect()
+}
+
+/// Fixed chunk `start..start + len` of every column.
+pub(crate) fn chunk_of<'a>(cols: &[&'a [f64]], start: usize, len: usize) -> Vec<&'a [f64]> {
+    cols.iter().map(|c| &c[start..start + len]).collect()
+}
+
+/// Coordinates of every point inside `sub`, column-major (`sub.dim()`
+/// columns of `n`): column `k` is [`hinn_linalg::simd::dot_cols`] against
+/// basis vector `k`, bit-identical to `sub.project(p)[k]` per point. One
+/// dispatch for all coordinates: each fixed chunk projects its points onto
+/// every basis vector, and the ordered fold copies the chunk's block into
+/// place.
+fn project_columns(par: Parallelism, points: &[&[f64]], n: usize, sub: &Subspace) -> Vec<f64> {
+    let l = sub.dim();
+    let mut out = vec![0.0; l * n];
+    map_reduce_chunks(
+        par,
+        n,
+        |r| {
+            let chunk = chunk_of(points, r.start, r.len());
+            let mut block = vec![0.0; l * r.len()];
+            for (e, col) in sub.basis().iter().zip(block.chunks_exact_mut(r.len())) {
+                hinn_linalg::simd::dot_cols(&chunk, e, col);
+            }
+            (r, block)
+        },
+        (),
+        |(), (r, block)| {
+            for (k, col) in block.chunks_exact(r.len()).enumerate() {
+                out[k * n + r.start..k * n + r.end].copy_from_slice(col);
+            }
+        },
+    );
+    out
 }
 
 /// Fig. 4: shrink to the `l` directions of `current` in which `cluster` is
@@ -143,11 +205,13 @@ pub fn try_query_cluster_subspace_mode_with(
     mode: ProjectionMode,
     events: &mut Vec<DegradationEvent>,
 ) -> Result<(Subspace, Vec<f64>), HinnError> {
-    try_query_cluster_subspace_mode_ctx(
+    let m = current.dim();
+    let data = gather_columns(m, data_coords.iter().map(|r| r.as_slice()));
+    try_query_cluster_subspace_cols(
         par,
         current,
         cluster_coords,
-        data_coords,
+        &column_views(&data, data_coords.len(), m),
         l,
         mode,
         events,
@@ -155,16 +219,63 @@ pub fn try_query_cluster_subspace_mode_with(
     )
 }
 
-/// [`try_query_cluster_subspace_mode_with`] with an optional session-cache
-/// context: the data variance `γ` along each candidate direction — a pure
-/// function of (alive set, subspace, direction) — is memoized across the
-/// pipeline's support restarts and across repeated sessions.
+/// The data variance `γ` along every candidate direction (in `current`
+/// coordinates), in candidate order.
+///
+/// Without a cache context all directions are scored in one batched scan.
+/// With one, each `γ` is memoized under its (alive set, subspace,
+/// direction) key, and the probes must stay exactly those of scoring one
+/// direction at a time — same `cache.hit`/`miss`/`evict` counts, same
+/// eviction order. So the cache is first *peeked* (no counter, no recency
+/// bump) to find the directions that will miss, those are scored in one
+/// batch, and then the real probes replay in candidate order. A peeked
+/// entry that an earlier replayed insert evicts misses on replay and is
+/// scored on its own; the value is the same bits either way.
+fn data_gammas(
+    par: Parallelism,
+    current: &Subspace,
+    data: &[&[f64]],
+    dirs: &[&[f64]],
+    ctx: Option<&ProjectionCacheCtx<'_>>,
+) -> Vec<f64> {
+    let c = match ctx {
+        Some(c) => c,
+        None => return variances_along_cols_with(par, data, dirs),
+    };
+    let keys = SessionCache::gamma_keys(c.alive_fp, current, dirs);
+    let missing: Vec<usize> = (0..dirs.len())
+        .filter(|&k| c.cache.gamma.peek(keys[k]).is_none())
+        .collect();
+    let mut batch: Vec<Option<f64>> = vec![None; dirs.len()];
+    if !missing.is_empty() {
+        let missing_dirs: Vec<&[f64]> = missing.iter().map(|&k| dirs[k]).collect();
+        let scored = variances_along_cols_with(par, data, &missing_dirs);
+        for (&k, gamma) in missing.iter().zip(scored) {
+            batch[k] = Some(gamma);
+        }
+    }
+    keys.iter()
+        .zip(dirs)
+        .zip(batch)
+        .map(|((&key, dir), scored)| {
+            *c.cache.gamma.get_or_insert_with(key, || {
+                scored.unwrap_or_else(|| variances_along_cols_with(par, data, &[dir])[0])
+            })
+        })
+        .collect()
+}
+
+/// [`try_query_cluster_subspace_mode_with`] over the data as columns, with
+/// an optional session-cache context: the data variance `γ` along each
+/// candidate direction — a pure function of (alive set, subspace,
+/// direction) — is memoized across the pipeline's support restarts and
+/// across repeated sessions.
 #[allow(clippy::too_many_arguments)]
-fn try_query_cluster_subspace_mode_ctx(
+fn try_query_cluster_subspace_cols(
     par: Parallelism,
     current: &Subspace,
     cluster_coords: &[Vec<f64>],
-    data_coords: &[Vec<f64>],
+    data: &[&[f64]],
     l: usize,
     mode: ProjectionMode,
     events: &mut Vec<DegradationEvent>,
@@ -178,7 +289,7 @@ fn try_query_cluster_subspace_mode_ctx(
             message: "query_cluster_subspace: l out of range".into(),
         });
     }
-    if cluster_coords.is_empty() || data_coords.is_empty() {
+    if cluster_coords.is_empty() || data.first().is_none_or(|c| c.is_empty()) {
         return Err(HinnError::InvalidInput {
             phase: "projection.subspace",
             message: "query_cluster_subspace: empty point sets".into(),
@@ -230,12 +341,15 @@ fn try_query_cluster_subspace_mode_ctx(
                     let cov = hinn_linalg::covariance_matrix_with(par, fit);
                     match try_jacobi_eigen(&cov) {
                         Ok(out) if out.converged => {
-                            for i in 0..m {
-                                let dir = out.eigen.vector(i);
-                                let held_out =
-                                    hinn_linalg::stats::variance_along_with(par, score, &dir);
-                                pool.push((dir, held_out));
-                            }
+                            let dirs: Vec<Vec<f64>> = (0..m).map(|i| out.eigen.vector(i)).collect();
+                            let dir_refs: Vec<&[f64]> = dirs.iter().map(|d| d.as_slice()).collect();
+                            let score_buf = gather_columns(m, score.iter().map(|r| r.as_slice()));
+                            let held_out = variances_along_cols_with(
+                                par,
+                                &column_views(&score_buf, score.len(), m),
+                                &dir_refs,
+                            );
+                            pool.extend(dirs.into_iter().zip(held_out));
                         }
                         Ok(out) => {
                             events.push(DegradationEvent::unplaced(
@@ -276,20 +390,11 @@ fn try_query_cluster_subspace_mode_ctx(
     // noise against a floored denominator — so it is dropped and the drop
     // recorded (ladder rung: DroppedZeroVariance). The 1e-12 threshold
     // matches the floor the ranking historically applied.
+    let dirs: Vec<&[f64]> = candidates.iter().map(|(d, _)| d.as_slice()).collect();
+    let gammas = data_gammas(par, current, data, &dirs, ctx);
     let mut scored: Vec<(f64, usize)> = Vec::with_capacity(candidates.len());
     let mut dropped = 0usize;
-    for (i, (dir, lambda)) in candidates.iter().enumerate() {
-        let gamma = match ctx {
-            // Memoized exact output: the cached value is the bit pattern
-            // the scan below would produce, keyed by the full input.
-            Some(c) => *c
-                .cache
-                .gamma
-                .get_or_insert_with(SessionCache::gamma_key(c.alive_fp, current, dir), || {
-                    hinn_linalg::stats::variance_along_with(par, data_coords, dir)
-                }),
-            None => hinn_linalg::stats::variance_along_with(par, data_coords, dir),
-        };
+    for (i, ((_, lambda), gamma)) in candidates.iter().zip(gammas).enumerate() {
         if gamma < 1e-12 {
             dropped += 1;
             continue;
@@ -374,7 +479,9 @@ pub fn find_query_centered_projection_with(
 /// Fallible [`find_query_centered_projection_with`]: returns the
 /// projection together with every degradation event the winning pipeline
 /// run recorded (only the kept support candidate's events are reported —
-/// a discarded restart's hiccups never influenced the answer).
+/// a discarded restart's hiccups never influenced the answer). The rows
+/// are gathered into columns once, then [`try_find_query_centered_projection_cols`]
+/// runs.
 pub fn try_find_query_centered_projection_with(
     par: Parallelism,
     points: &[Vec<f64>],
@@ -383,16 +490,32 @@ pub fn try_find_query_centered_projection_with(
     support: usize,
     mode: ProjectionMode,
 ) -> Result<(ProjectionResult, Vec<DegradationEvent>), HinnError> {
-    try_find_query_centered_projection_ctx(par, points, query, current, support, mode, None)
+    let d = current.ambient_dim();
+    let cols = gather_columns(d, points.iter().map(|r| r.as_slice()));
+    try_find_query_centered_projection_cols(
+        par,
+        &column_views(&cols, points.len(), d),
+        query,
+        current,
+        support,
+        mode,
+        None,
+    )
 }
 
-/// [`try_find_query_centered_projection_with`] with an optional
-/// session-cache context for the per-subspace coordinate and `γ`-variance
-/// memoization (see [`crate::SessionCache`]). `ctx = None` is the
-/// compute-always path; results are bit-identical either way.
-pub(crate) fn try_find_query_centered_projection_ctx(
+/// [`try_find_query_centered_projection_with`] over points stored as
+/// columns (`points[j][i]` = ambient coordinate `j` of point `i`), with an
+/// optional session-cache context for the per-subspace coordinate and
+/// `γ`-variance memoization (see [`crate::SessionCache`]). `ctx = None` is
+/// the compute-always path; results are bit-identical either way.
+///
+/// # Panics
+/// Panics when a halving round runs (`current.dim() > 2`) and
+/// `points.len()` differs from `current.ambient_dim()` or the columns
+/// differ in length.
+pub fn try_find_query_centered_projection_cols(
     par: Parallelism,
-    points: &[Vec<f64>],
+    points: &[&[f64]],
     query: &[f64],
     current: &Subspace,
     support: usize,
@@ -406,7 +529,8 @@ pub(crate) fn try_find_query_centered_projection_ctx(
             message: "find_query_centered_projection: need a ≥2-D search subspace".into(),
         });
     }
-    if points.is_empty() {
+    let n = points.first().map_or(0, |c| c.len());
+    if n == 0 {
         return Err(HinnError::InvalidInput {
             phase: "projection.find",
             message: "find_query_centered_projection: empty data".into(),
@@ -419,7 +543,6 @@ pub(crate) fn try_find_query_centered_projection_ctx(
     // sizes around the requested one and keep the most discriminating
     // result (smallest mean variance ratio) — the computer-side equivalent
     // of trying a couple of zoom levels before showing the user a view.
-    let n = points.len();
     let mut candidates: Vec<usize> = [support, support * 2, support * 3]
         .into_iter()
         .map(|s| s.max(8).min(n))
@@ -430,7 +553,7 @@ pub(crate) fn try_find_query_centered_projection_ctx(
     let mut best: Option<(f64, ProjectionResult, Vec<DegradationEvent>)> = None;
     for s in candidates {
         let (result, events) =
-            try_find_projection_with_support(par, points, query, current, s, mode, ctx)?;
+            try_find_projection_with_support(par, points, n, query, current, s, mode, ctx)?;
         let score = if result.variance_ratios.is_empty() {
             f64::INFINITY
         } else {
@@ -455,7 +578,8 @@ pub(crate) fn try_find_query_centered_projection_ctx(
 #[allow(clippy::too_many_arguments)] // internal; mirrors the pipeline input
 fn try_find_projection_with_support(
     par: Parallelism,
-    points: &[Vec<f64>],
+    points: &[&[f64]],
+    n: usize,
     query: &[f64],
     current: &Subspace,
     support: usize,
@@ -468,41 +592,36 @@ fn try_find_projection_with_support(
     let mut ratios = Vec::new();
     while lp > 2 {
         let next_l = (lp / 2).max(2);
-        // Coordinates of data and query inside the current E_p. Memoized
-        // per (alive set, subspace): the three support restarts share one
-        // round-1 scan, and warm sessions skip the projection entirely.
-        let data_coords: Arc<Vec<Vec<f64>>> = match ctx {
+        // Column-major coordinates of the data inside the current E_p.
+        // Memoized per (alive set, subspace): the three support restarts
+        // share one round-1 projection, and warm sessions skip it.
+        let coords: Arc<Vec<f64>> = match ctx {
             Some(c) => c
                 .cache
                 .coords
                 .get_or_insert_with(SessionCache::coords_key(c.alive_fp, &ep), || {
-                    ep.project_all_with(par, points)
+                    project_columns(par, points, n, &ep)
                 }),
-            None => Arc::new(ep.project_all_with(par, points)),
+            None => Arc::new(project_columns(par, points, n, &ep)),
         };
+        let coord_cols = column_views(&coords, n, lp);
         let q_coords = ep.project(query);
         // The s nearest points to the query within E_p (the tentative
         // query cluster N_p).
         let scan_span = hinn_obs::span!("projection.scan");
-        hinn_obs::counter("projection.points_scanned", data_coords.len() as u64);
-        let mut order: Vec<(f64, usize)> = vec![(0.0, 0); data_coords.len()];
+        hinn_obs::counter("projection.points_scanned", n as u64);
+        let mut order: Vec<(f64, usize)> = vec![(0.0, 0); n];
         fill_chunks(par, &mut order, |start, slice| {
-            // Transpose this chunk of projected coordinates into pooled
-            // column scratch and run the batch distance kernel — one
-            // point per SIMD lane, bit-identical to the scalar
-            // `vector::dist` per point (the per-point reduction keeps the
-            // ascending-coordinate fold order).
-            let m = q_coords.len();
+            // The batch distance kernel straight over this chunk of the
+            // coordinate columns — one point per SIMD lane, bit-identical
+            // to the scalar `vector::dist` per point.
             let len = slice.len();
-            let mut colbuf = hinn_cache::PooledF64::take_zeroed(m * len);
-            for off in 0..len {
-                for (j, &v) in data_coords[start + off].iter().enumerate() {
-                    colbuf[j * len + off] = v;
-                }
-            }
-            let cols: Vec<&[f64]> = (0..m).map(|j| &colbuf[j * len..(j + 1) * len]).collect();
             let mut dists = hinn_cache::PooledF64::take_zeroed(len);
-            hinn_linalg::simd::dist_sq_cols(&cols, &q_coords, &mut dists);
+            hinn_linalg::simd::dist_sq_cols(
+                &chunk_of(&coord_cols, start, len),
+                &q_coords,
+                &mut dists,
+            );
             hinn_linalg::simd::sqrt_inplace(&mut dists);
             for (off, slot) in slice.iter_mut().enumerate() {
                 *slot = (dists[off], start + off);
@@ -517,14 +636,14 @@ fn try_find_projection_with_support(
         drop(scan_span);
         let cluster_coords: Vec<Vec<f64>> = order[..keep]
             .iter()
-            .map(|&(_, i)| data_coords[i].clone())
+            .map(|&(_, i)| coord_cols.iter().map(|c| c[i]).collect())
             .collect();
 
-        let (next, r) = try_query_cluster_subspace_mode_ctx(
+        let (next, r) = try_query_cluster_subspace_cols(
             par,
             &ep,
             &cluster_coords,
-            &data_coords,
+            &coord_cols,
             next_l,
             mode,
             &mut events,

@@ -36,6 +36,5 @@ pub use matrix::Matrix;
 pub use simd::{active_backend, Backend};
 pub use stats::{
     covariance_matrix, covariance_matrix_with, mean_vector, mean_vector_with, variance_along,
-    variance_along_with,
 };
 pub use subspace::Subspace;

@@ -157,6 +157,32 @@ pub fn dist_cols(cols: &[&[f64]], q: &[f64], out: &mut [f64]) {
     sqrt_inplace_backend(b, out);
 }
 
+/// Columnar dot-product scan: `out[i] = pᵢ · dir` where point `i` is row
+/// `i` of the column set. Bit-identical to [`crate::vector::dot`] per row:
+/// each point folds its products in ascending-dimension order from
+/// `−0.0`, the start `Iterator::sum` uses for f64 (a `+0.0` start would
+/// turn the sum of all-`−0.0` products into `+0.0`). This is the
+/// projection kernel: one call computes one subspace coordinate of every
+/// point, or one candidate direction's projection.
+///
+/// # Panics
+/// Panics if `cols.len() != dir.len()` or any column length ≠ `out.len()`.
+pub fn dot_cols(cols: &[&[f64]], dir: &[f64], out: &mut [f64]) {
+    dot_cols_backend(active_backend(), cols, dir, out);
+}
+
+/// [`dot_cols`] pinned to an explicit backend (equivalence tests).
+#[doc(hidden)]
+pub fn dot_cols_backend(b: Backend, cols: &[&[f64]], dir: &[f64], out: &mut [f64]) {
+    check_cols(
+        cols.len(),
+        dir.len(),
+        cols.iter().map(|c| c.len()),
+        out.len(),
+    );
+    dispatch!(b, dot_cols(cols, dir, out))
+}
+
 /// Approximate f32 columnar squared-distance scan for the opt-in f32
 /// mirror (`hinn_data::ColumnStore::f32_cols`). Deterministic (fixed
 /// ascending-dimension association, identical across backends at f32) but
@@ -328,6 +354,34 @@ macro_rules! dist_sq_cols_body {
 dist_sq_cols_body!(dist_sq_cols_f64_body, f64);
 dist_sq_cols_body!(dist_sq_cols_f32_body, f32);
 
+/// The columnar dot-product body: register-blocked like the distance scan
+/// (see [`SCAN_BLOCK`]), each point's products folded in ascending
+/// dimension order from `−0.0`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // index loops keep the slices provably equal-length
+fn dot_cols_body(cols: &[&[f64]], dir: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    let mut k = 0;
+    while k + SCAN_BLOCK <= n {
+        let mut acc = [-0.0f64; SCAN_BLOCK];
+        for (c, &e) in cols.iter().zip(dir) {
+            let c = &c[k..k + SCAN_BLOCK];
+            for l in 0..SCAN_BLOCK {
+                acc[l] += c[l] * e;
+            }
+        }
+        out[k..k + SCAN_BLOCK].copy_from_slice(&acc);
+        k += SCAN_BLOCK;
+    }
+    for i in k..n {
+        let mut s = -0.0f64;
+        for (c, &e) in cols.iter().zip(dir) {
+            s += c[i] * e;
+        }
+        out[i] = s;
+    }
+}
+
 #[inline(always)]
 fn sqrt_inplace_body(xs: &mut [f64]) {
     for v in xs {
@@ -405,6 +459,9 @@ mod scalar {
     pub(super) fn dist_sq_cols_f32(cols: &[&[f32]], q: &[f32], out: &mut [f32]) {
         super::dist_sq_cols_f32_body(cols, q, out);
     }
+    pub(super) fn dot_cols(cols: &[&[f64]], dir: &[f64], out: &mut [f64]) {
+        super::dot_cols_body(cols, dir, out);
+    }
     pub(super) fn sqrt_inplace(xs: &mut [f64]) {
         super::sqrt_inplace_body(xs);
     }
@@ -443,6 +500,10 @@ macro_rules! x86_backend {
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn dist_sq_cols_f32(cols: &[&[f32]], q: &[f32], out: &mut [f32]) {
                 super::dist_sq_cols_f32_body(cols, q, out);
+            }
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn dot_cols(cols: &[&[f64]], dir: &[f64], out: &mut [f64]) {
+                super::dot_cols_body(cols, dir, out);
             }
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn sqrt_inplace(xs: &mut [f64]) {
@@ -600,6 +661,38 @@ mod tests {
                     b.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn dot_cols_matches_rowwise_dot_bitwise() {
+        let rows = cloud(300, 5, 0xD07);
+        let cols = columns(&rows);
+        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        let dir = [0.3, -0.0, 1.5, -2.25, 0.0];
+        for b in Backend::available() {
+            let mut out = vec![0.0; rows.len()];
+            dot_cols_backend(b, &col_refs, &dir, &mut out);
+            for (i, r) in rows.iter().enumerate() {
+                assert_eq!(
+                    out[i].to_bits(),
+                    crate::vector::dot(r, &dir).to_bits(),
+                    "backend {} point {i}",
+                    b.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dot_cols_keeps_the_negative_zero_of_an_all_negative_zero_sum() {
+        let c0 = [0.0f64; 40];
+        let c1 = [-0.0f64; 40];
+        let cols: Vec<&[f64]> = vec![&c0, &c1];
+        for b in Backend::available() {
+            let mut out = vec![1.0; 40];
+            dot_cols_backend(b, &cols, &[-1.0, 2.0], &mut out);
+            assert!(out.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
         }
     }
 

@@ -1,15 +1,17 @@
 //! Sample statistics over point sets.
 //!
-//! Points are rows: a data set is a `&[Vec<f64>]` (or any slice of rows of a
-//! common dimensionality). These routines feed the query-cluster subspace
+//! Points are rows — a data set is a `&[Vec<f64>]` (or any slice of rows
+//! of a common dimensionality) — except for the batched direction variances,
+//! which read columns. These routines feed the query-cluster subspace
 //! determination of Fig. 4: the covariance matrix `Σ` of the cluster, and
 //! per-direction variances `γᵢ` of the whole data used in the variance ratio
-//! `λᵢ / γᵢ`.
+//! `λᵢ / γᵢ` ([`variances_along_cols_with`], every candidate direction in one
+//! scan).
 //!
-//! Every routine has a `*_with` variant taking a [`Parallelism`] budget; the
-//! plain name is the serial schedule (`Parallelism::serial()`). Both run the
-//! *same* fixed-chunk algorithm with an ordered reduction (see `hinn-par`),
-//! so the result is bit-identical for every thread count.
+//! The row routines have a `*_with` variant taking a [`Parallelism`] budget;
+//! the plain name is the serial schedule (`Parallelism::serial()`). Both run
+//! the *same* fixed-chunk algorithm with an ordered reduction (see
+//! `hinn-par`), so the result is bit-identical for every thread count.
 
 use crate::matrix::Matrix;
 use crate::vector::dot;
@@ -126,22 +128,15 @@ pub fn covariance_matrix_with(par: Parallelism, points: &[Vec<f64>]) -> Matrix {
 }
 
 /// Variance of the point set when projected onto a (not necessarily unit)
-/// `direction`. For a unit direction this is `uᵀ Σ u`.
+/// `direction`. For a unit direction this is `uᵀ Σ u`. Two chunked passes
+/// (projection mean, then squared deviations), each with an ordered
+/// reduction: the row-layout spec [`variances_along_cols_with`] is held to.
 ///
 /// # Panics
 /// Panics if `points` is empty or dimensions mismatch.
 pub fn variance_along(points: &[Vec<f64>], direction: &[f64]) -> f64 {
-    variance_along_with(Parallelism::serial(), points, direction)
-}
-
-/// [`variance_along`] with an explicit thread budget. Two chunked passes
-/// (projection mean, then squared deviations), each with an ordered
-/// reduction — bit-identical for every budget.
-///
-/// # Panics
-/// Panics if `points` is empty or dimensions mismatch.
-pub fn variance_along_with(par: Parallelism, points: &[Vec<f64>], direction: &[f64]) -> f64 {
     assert!(!points.is_empty(), "variance_along: empty point set");
+    let par = Parallelism::serial();
     let n = points.len() as f64;
     let sum = map_reduce_chunks(
         par,
@@ -167,6 +162,97 @@ pub fn variance_along_with(par: Parallelism, points: &[Vec<f64>], direction: &[f
         |a, p| a + p,
     );
     ss / n
+}
+
+/// [`variance_along`] for every direction of `dirs` at once, over points
+/// stored as columns (`cols[j][i]` = coordinate `j` of point `i`).
+///
+/// Each pass is one [`map_reduce_chunks`] for all directions: a chunk
+/// projects its points onto each direction with [`crate::simd::dot_cols`]
+/// and folds them in ascending point order, and the per-direction partials
+/// merge in chunk order. That is exactly the chunking and association of
+/// the per-direction row scan, so `out[k]` is bit-identical to
+/// `variance_along(rows, dirs[k])` for every thread budget.
+///
+/// # Panics
+/// Panics if the point set is empty, the columns differ in length, or any
+/// direction's length differs from `cols.len()`.
+pub fn variances_along_cols_with(par: Parallelism, cols: &[&[f64]], dirs: &[&[f64]]) -> Vec<f64> {
+    let n = cols.first().map_or(0, |c| c.len());
+    assert!(n > 0, "variances_along_cols: empty point set");
+    let nf = n as f64;
+    let zeros = vec![0.0; dirs.len()];
+    let means: Vec<f64> = sum_projections(par, cols, dirs, &zeros, |x, _| x)
+        .iter()
+        .map(|s| s / nf)
+        .collect();
+    sum_projections(par, cols, dirs, &means, |x, mean| {
+        let x = x - mean;
+        x * x
+    })
+    .iter()
+    .map(|s| s / nf)
+    .collect()
+}
+
+/// Directions folded side by side in [`sum_projections`]. A single
+/// direction's fold is one dependent chain of adds; folding a few
+/// directions in the same loop runs their chains in parallel, while each
+/// chain still adds its own terms in ascending point order.
+const FOLD_LANES: usize = 4;
+
+/// One pass of [`variances_along_cols_with`]: `Σᵢ term(pᵢ · dirs[k],
+/// shift[k])` for every direction `k`. Each chunk folds its points in
+/// ascending order from `−0.0` (as `Iterator::sum` does), and the chunk
+/// partials merge in chunk order from `0.0`.
+#[allow(clippy::needless_range_loop)] // one index walks every lane in lockstep
+fn sum_projections<T>(
+    par: Parallelism,
+    cols: &[&[f64]],
+    dirs: &[&[f64]],
+    shift: &[f64],
+    term: T,
+) -> Vec<f64>
+where
+    T: Fn(f64, f64) -> f64 + Sync,
+{
+    let n = cols.first().map_or(0, |c| c.len());
+    map_reduce_chunks(
+        par,
+        n,
+        |r| {
+            let len = r.len();
+            let chunk: Vec<&[f64]> = cols.iter().map(|c| &c[r.clone()]).collect();
+            let mut proj = vec![0.0; FOLD_LANES * len];
+            let mut sums = Vec::with_capacity(dirs.len());
+            for (g, group) in dirs.chunks(FOLD_LANES).enumerate() {
+                for (dir, buf) in group.iter().zip(proj.chunks_exact_mut(len)) {
+                    crate::simd::dot_cols(&chunk, dir, buf);
+                }
+                // Lanes past the end of a short last group fold whatever
+                // their buffer holds; their sums are dropped below.
+                let lane: [&[f64]; FOLD_LANES] =
+                    std::array::from_fn(|l| &proj[l * len..(l + 1) * len]);
+                let sh: [f64; FOLD_LANES] =
+                    std::array::from_fn(|l| shift.get(g * FOLD_LANES + l).copied().unwrap_or(0.0));
+                let mut acc = [-0.0f64; FOLD_LANES];
+                for i in 0..len {
+                    for l in 0..FOLD_LANES {
+                        acc[l] += term(lane[l][i], sh[l]);
+                    }
+                }
+                sums.extend_from_slice(&acc[..group.len()]);
+            }
+            sums
+        },
+        vec![0.0f64; dirs.len()],
+        |mut acc, part| {
+            for (a, p) in acc.iter_mut().zip(&part) {
+                *a += p;
+            }
+            acc
+        },
+    )
 }
 
 /// Per-coordinate variances — the axis-parallel specialization used when the
@@ -317,6 +403,8 @@ mod tests {
         let cov_s = covariance_matrix(&pts);
         let var_s = coordinate_variances(&pts);
         let along_s = variance_along(&pts, &dir);
+        let cols: Vec<Vec<f64>> = (0..6).map(|j| pts.iter().map(|p| p[j]).collect()).collect();
+        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
         for t in [1usize, 2, 3, 7] {
             let par = Parallelism::fixed(t);
             let mean_p = mean_vector_with(par, &pts);
@@ -339,8 +427,8 @@ mod tests {
             }
             assert_eq!(
                 along_s.to_bits(),
-                variance_along_with(par, &pts, &dir).to_bits(),
-                "variance_along, threads={t}"
+                variances_along_cols_with(par, &col_refs, &[&dir])[0].to_bits(),
+                "variances_along_cols, threads={t}"
             );
         }
     }
@@ -367,6 +455,9 @@ mod tests {
         let par = Parallelism::fixed(8);
         assert_eq!(mean_vector_with(par, &pts), vec![1.0, 2.0]);
         assert_eq!(coordinate_variances_with(par, &pts), vec![0.0, 0.0]);
-        assert_eq!(variance_along_with(par, &pts, &[1.0, 0.0]), 0.0);
+        assert_eq!(
+            variances_along_cols_with(par, &[&[1.0], &[2.0]], &[&[1.0, 0.0]]),
+            vec![0.0]
+        );
     }
 }

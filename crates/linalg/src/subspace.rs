@@ -149,24 +149,7 @@ impl Subspace {
 
     /// Project every point of a data set.
     pub fn project_all(&self, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.project_all_with(hinn_par::Parallelism::serial(), points)
-    }
-
-    /// [`Subspace::project_all`] with an explicit thread budget. Each output
-    /// row is a pure function of its input row, so the result is identical
-    /// for every budget.
-    pub fn project_all_with(
-        &self,
-        par: hinn_par::Parallelism,
-        points: &[Vec<f64>],
-    ) -> Vec<Vec<f64>> {
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); points.len()];
-        hinn_par::fill_chunks(par, &mut out, |start, slice| {
-            for (k, slot) in slice.iter_mut().enumerate() {
-                *slot = self.project(&points[start + k]);
-            }
-        });
-        out
+        points.iter().map(|p| self.project(p)).collect()
     }
 
     /// `Pdist(x₁, x₂, E)`: Euclidean distance between the projections.

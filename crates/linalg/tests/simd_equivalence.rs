@@ -11,9 +11,10 @@
 
 use hinn_linalg::simd::{
     axpy8_backend, axpy_inplace_backend, dist_cols, dist_sq_cols_backend, div_inplace_backend,
-    gaussian_prep_backend, sqrt_inplace_backend, Backend,
+    dot_cols_backend, gaussian_prep_backend, sqrt_inplace_backend, Backend,
 };
-use hinn_linalg::vector;
+use hinn_linalg::stats::{variance_along, variances_along_cols_with};
+use hinn_linalg::{vector, Parallelism};
 use proptest::prelude::*;
 
 /// Lengths that straddle the 4-wide (AVX2) and 8-wide (AVX-512) lanes.
@@ -53,6 +54,35 @@ fn col_block() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
     })
 }
 
+/// A columnar block of signed zeros and units with a direction of the same
+/// kind: many points' products are all `−0.0`, whose sum must stay `−0.0`
+/// as the spec's `Iterator::sum` fold (which starts from `−0.0`) keeps it.
+fn signed_zero_block() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
+    let signed = || prop_oneof![Just(0.0f64), Just(-0.0f64), Just(1.0f64), Just(-1.0f64)];
+    ((0..4usize), adversarial_len()).prop_flat_map(move |(di, n)| {
+        let d = [1, 2, 5, 16][di];
+        (
+            proptest::collection::vec(proptest::collection::vec(signed(), n..=n), d..=d),
+            proptest::collection::vec(signed(), d..=d),
+        )
+    })
+}
+
+/// Point counts straddling `hinn_par::CHUNK` (1024) and its multiples.
+const CHUNKED_LENS: [usize; 6] = [1, 3, 100, 1023, 1025, 2049];
+
+/// Rows of a chunk-straddling point set plus a few directions.
+#[allow(clippy::type_complexity)]
+fn rows_and_dirs() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Vec<f64>>)> {
+    ((0..CHUNKED_LENS.len()), (1..6usize), (1..5usize)).prop_flat_map(|(ni, d, k)| {
+        let n = CHUNKED_LENS[ni];
+        (
+            proptest::collection::vec(proptest::collection::vec(-1e3..1e3f64, d..=d), n..=n),
+            proptest::collection::vec(values(d), k..=k),
+        )
+    })
+}
+
 /// A vector of adversarial length, plus a same-length second operand.
 fn vec_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     adversarial_len().prop_flat_map(|n| (values(n), values(n)))
@@ -81,6 +111,63 @@ proptest! {
                     "{:?} d={} n={} point {}: {} vs {}", b, d, n, i, out[i], want
                 );
             }
+        }
+    }
+
+    #[test]
+    fn dot_cols_is_bit_identical_to_rowwise_dot_on_every_backend((cols, dir) in col_block()) {
+        let d = cols.len();
+        let n = cols.first().map_or(0, |c| c.len());
+        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        for b in backends() {
+            let mut out = vec![0.0; n];
+            dot_cols_backend(b, &col_refs, &dir, &mut out);
+            for i in 0..n {
+                let row: Vec<f64> = (0..d).map(|j| cols[j][i]).collect();
+                let want = vector::dot(&row, &dir);
+                prop_assert_eq!(
+                    out[i].to_bits(), want.to_bits(),
+                    "{:?} d={} n={} point {}: {} vs {}", b, d, n, i, out[i], want
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dot_cols_keeps_signed_zeros_on_every_backend((cols, dir) in signed_zero_block()) {
+        let d = cols.len();
+        let n = cols.first().map_or(0, |c| c.len());
+        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        for b in backends() {
+            let mut out = vec![f64::NAN; n];
+            dot_cols_backend(b, &col_refs, &dir, &mut out);
+            for i in 0..n {
+                let row: Vec<f64> = (0..d).map(|j| cols[j][i]).collect();
+                prop_assert_eq!(
+                    out[i].to_bits(), vector::dot(&row, &dir).to_bits(),
+                    "{:?} d={} n={} point {}", b, d, n, i
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_variances_equal_variance_along_per_direction(
+        (rows, dirs) in rows_and_dirs(),
+        threads in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        let d = rows[0].len();
+        let cols: Vec<Vec<f64>> = (0..d).map(|j| rows.iter().map(|r| r[j]).collect()).collect();
+        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        let dir_refs: Vec<&[f64]> = dirs.iter().map(|v| v.as_slice()).collect();
+        let got = variances_along_cols_with(Parallelism::fixed(threads), &col_refs, &dir_refs);
+        prop_assert_eq!(got.len(), dirs.len());
+        for (k, dir) in dirs.iter().enumerate() {
+            let want = variance_along(&rows, dir);
+            prop_assert_eq!(
+                got[k].to_bits(), want.to_bits(),
+                "n={} d={} direction {}: {} vs {}", rows.len(), d, k, got[k], want
+            );
         }
     }
 
