@@ -6,6 +6,10 @@
 //! the graph — and reports per-query latency, the speedup, and recall@10
 //! of the approximate lists against the exact ones.
 //!
+//! An extension row then grows graphs of N/2 and N points by 40 appends
+//! of 16 rows each, as streaming epochs do, and reports the milliseconds
+//! per [`Hnsw::extended`] and the neighbor lists it copied.
+//!
 //! ```sh
 //! cargo run --release -p hinn-bench --bin index_bench            # full, N=1M
 //! cargo run --release -p hinn-bench --bin index_bench -- --smoke # CI, N=20k
@@ -14,12 +18,21 @@
 //! Output: `BENCH_index.json` (override with `--out <path>`). In full
 //! mode the binary exits nonzero unless HNSW search is at least 5× as
 //! fast as the linear scan *and* mean recall@10 is at least 0.9 — the
-//! PR's acceptance bar.
+//! PR's acceptance bar. In both modes it exits nonzero if the graph of N
+//! points copies more than 1.5× the lists the graph of N/2 copies for the
+//! same appends: an extension must cost O(appended rows), not O(N). The
+//! copy counts are deterministic, so this gate is exact.
 
 use hinn_bench::banner;
 use hinn_index::{recall::recall_at_k, Hnsw, HnswParams};
-use hinn_obs::QuantileSketch;
+use hinn_obs::{QuantileSketch, SessionRecorder};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Appends per graph in the extension row, and rows per append (the
+/// `ingest_stream` workload's Δ).
+const EXTENSIONS: usize = 40;
+const EXTENSION_ROWS: usize = 16;
 
 struct Args {
     smoke: bool,
@@ -79,6 +92,39 @@ fn gaussian_mixture(n: usize, d: usize, n_clusters: usize, sigma: f64, seed: u64
 
 use hinn_linalg::vector::dist_sq;
 
+/// One row of the extension table.
+struct Extension {
+    n: usize,
+    ms_per_extension: f64,
+    lists_copied: u64,
+    point_chunks_copied: u64,
+}
+
+/// Grow `graph` by `EXTENSIONS` appends of `EXTENSION_ROWS` rows from
+/// `stream`, each extending the last, timing each [`Hnsw::extended`] and
+/// reading what they copied from the telemetry counters.
+fn extend(graph: &Hnsw, stream: &[Vec<f64>]) -> Extension {
+    let recorder = Arc::new(SessionRecorder::new());
+    let mut total_ms = 0.0;
+    {
+        let _telemetry = hinn_obs::install(recorder.clone());
+        let mut grown: Option<Hnsw> = None;
+        for rows in stream.chunks(EXTENSION_ROWS).take(EXTENSIONS) {
+            let t0 = Instant::now();
+            let next = grown.as_ref().unwrap_or(graph).extended(rows);
+            total_ms += t0.elapsed().as_secs_f64() * 1000.0;
+            grown = Some(next);
+        }
+    }
+    let report = recorder.report();
+    Extension {
+        n: graph.len(),
+        ms_per_extension: total_ms / EXTENSIONS as f64,
+        lists_copied: report.counter("index.lists_copied"),
+        point_chunks_copied: report.counter("index.point_chunks_copied"),
+    }
+}
+
 /// Exact serial kNN over the whole dataset — the baseline both sides of
 /// the comparison are judged against. Scores each point once, then
 /// selects the `k` closest in the total `(dist, id)` order.
@@ -119,7 +165,10 @@ fn main() {
     };
     println!("dataset: gaussian mixture, n={n} d={d}, {n_queries} queries, k={K}");
     let t0 = Instant::now();
-    let points = gaussian_mixture(n, d, 16, 6.0, 0xBE2C_0001);
+    // The mixture draws its rows in order, so the first `n` are the same
+    // dataset with or without the appended stream behind them.
+    let mut points = gaussian_mixture(n + EXTENSIONS * EXTENSION_ROWS, d, 16, 6.0, 0xBE2C_0001);
+    let stream = points.split_off(n);
     println!("generated in {:.1} s", t0.elapsed().as_secs_f64());
 
     // Query points spread across the dataset (and therefore the clusters).
@@ -128,7 +177,7 @@ fn main() {
 
     let params = HnswParams::default().with_ef_search(120);
     let t0 = Instant::now();
-    let graph = Hnsw::build(points.clone(), params);
+    let graph = Hnsw::build(&points, params);
     let build_ms = t0.elapsed().as_secs_f64() * 1000.0;
     println!(
         "hnsw build: {:.1} s (m={}, ef_construction={})",
@@ -193,6 +242,16 @@ fn main() {
     println!("linear per-query: p50 {lp50:.3} p90 {lp90:.3} p99 {lp99:.3} ms");
     println!("hnsw   per-query: p50 {hp50:.3} p90 {hp90:.3} p99 {hp99:.3} ms");
 
+    let half = Hnsw::build(&points[..n / 2], params);
+    let extensions = [extend(&half, &stream), extend(&graph, &stream)];
+    for e in &extensions {
+        println!(
+            "extend n={}: {:.3} ms per {EXTENSION_ROWS}-row append, {} lists and {} point chunks \
+             copied over {EXTENSIONS} appends",
+            e.n, e.ms_per_extension, e.lists_copied, e.point_chunks_copied
+        );
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
@@ -227,13 +286,44 @@ fn main() {
         json_f64(hp99)
     ));
     json.push_str(&format!("  \"speedup\": {},\n", json_f64(speedup)));
-    json.push_str(&format!("  \"recall_at_k\": {}\n", json_f64(recall)));
+    json.push_str(&format!("  \"recall_at_k\": {},\n", json_f64(recall)));
+    let rows: Vec<String> = extensions
+        .iter()
+        .map(|e| {
+            format!(
+                "{{\"n\": {}, \"ms_per_extension\": {}, \"lists_copied\": {}, \"point_chunks_copied\": {}}}",
+                e.n,
+                json_f64(e.ms_per_extension),
+                e.lists_copied,
+                e.point_chunks_copied
+            )
+        })
+        .collect();
+    json.push_str(&format!(
+        "  \"extension\": {{\"appends\": {EXTENSIONS}, \"rows_per_append\": {EXTENSION_ROWS}, \"graphs\": [{}]}}\n",
+        rows.join(", ")
+    ));
     json.push_str("}\n");
     std::fs::write(&args.out, &json).expect("write benchmark JSON");
     println!("wrote {}", args.out);
 
-    // Smoke mode (CI) only proves the path runs end to end; the bars are
-    // enforced in full mode on the 1M-point workload.
+    let [small, large] = &extensions;
+    assert!(
+        large.lists_copied as f64 <= 1.5 * small.lists_copied as f64,
+        "O(Δ) bar: extending {} points copied {} lists, extending {} copied {}",
+        large.n,
+        large.lists_copied,
+        small.n,
+        small.lists_copied
+    );
+    println!(
+        "O(Δ) bar met: {} lists copied at n={} vs {} at n={}",
+        large.lists_copied, large.n, small.lists_copied, small.n
+    );
+
+    // Smoke mode (CI) otherwise only proves the path runs end to end; the
+    // speed and recall bars are enforced in full mode on the 1M-point
+    // workload.
     if !args.smoke {
         assert!(
             speedup >= 5.0,

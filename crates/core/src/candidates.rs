@@ -264,10 +264,8 @@ impl CandidateSource {
                 DatasetArtifacts::for_fingerprint(snap.fingerprint(), rows.len(), snap.dim());
             let graph = arts
                 .store()
-                .get_or_insert("index.hnsw", canon.key(), || {
-                    Hnsw::build(rows.to_vec(), canon)
-                })
-                .unwrap_or_else(|| Arc::new(Hnsw::build(rows.to_vec(), canon)));
+                .get_or_insert("index.hnsw", canon.key(), || Hnsw::build(rows, canon))
+                .unwrap_or_else(|| Arc::new(Hnsw::build(rows, canon)));
             return graph.knn_with_ef(query, budget, params.ef_search);
         }
         // Incremental path: one graph over all appended rows, extended
@@ -281,7 +279,7 @@ impl CandidateSource {
                 .and_then(DatasetArtifacts::lookup)
                 .and_then(|prev| prev.store().get::<Hnsw>("index.hnsw", canon.key()))
                 .map(|prev_graph| prev_graph.extended(&snap.rows_since(prev_graph.len())))
-                .unwrap_or_else(|| Hnsw::build(snap.rows_since(0), canon))
+                .unwrap_or_else(|| Hnsw::build(&snap.rows_since(0), canon))
         };
         let arts =
             DatasetArtifacts::for_fingerprint(snap.append_fingerprint(), appended, snap.dim());
@@ -499,7 +497,7 @@ mod tests {
                 src.seed_alive_epoch(Parallelism::serial(), &snap, &snap.rows(), &q, 10);
             assert!(event.is_none());
             // The same seed as a one-shot graph over the same rows.
-            let reference = Hnsw::build(pts[..stop].to_vec(), canon);
+            let reference = Hnsw::build(&pts[..stop], canon);
             let mut expected = reference.knn_with_ef(&q, 30, params.ef_search);
             expected.sort_unstable();
             assert_eq!(seed, expected, "epoch {k}: seed differs from a cold build");

@@ -202,25 +202,53 @@ thread_local! {
     static SCRATCH: RefCell<Visited> = RefCell::new(Visited::new(0));
 }
 
-/// Bit 63 of a [`Links::diverse`] mask: set iff the mask describes the
-/// list it is stored with.
+/// Bit 63 of a list's diversity mask (see [`HEAD`]): set iff the mask
+/// describes the list it is stored with.
 const MASK_VALID: u64 = 1 << 63;
 
 /// Largest per-layer cap whose diversity bits fit below [`MASK_VALID`].
 const MASK_MAX_CAP: usize = 63;
 
-/// One node's neighbor list on one layer.
-#[derive(Clone, Debug, Default)]
-struct Links {
-    /// Neighbor ids.
-    ids: Vec<u32>,
-    /// The Alg. 4 diversity mask of `ids`: bit `i` is set iff `ids[i]`
-    /// passed the diversity test of the selection that produced the list.
-    /// Meaningful only under [`MASK_VALID`], which a selection over more
-    /// than `cap ≤ 63` candidates sets; such a list holds exactly `cap`
-    /// ids sorted by `(dist, id)` from the node, so the next link added
-    /// to it overflows it and [`Hnsw::prune`] re-derives the mask at once.
-    diverse: u64,
+/// Header words of a neighbor-list slot, ahead of its ids: the list's
+/// length, then the low and high halves of its Alg. 4 diversity mask.
+/// Bit `i` of the mask is set iff the `i`-th id passed the diversity test
+/// of the selection that produced the list. It is meaningful only under
+/// [`MASK_VALID`], which a selection over more than `cap ≤ 63` candidates
+/// sets; such a list holds exactly `cap` ids sorted by `(dist, id)` from
+/// the node, so the next link added to it overflows it and
+/// [`Hnsw::prune`] re-derives the mask at once.
+const HEAD: usize = 3;
+
+/// Rows per point chunk. Every chunk but the last holds exactly this
+/// many rows, so point `i` is row `i % CHUNK_ROWS` of chunk
+/// `i / CHUNK_ROWS`, and an extension copies at most the last chunk.
+const CHUNK_ROWS: usize = 1024;
+
+/// The ids of a neighbor-list slot.
+#[inline]
+fn ids(slot: &[u32]) -> &[u32] {
+    &slot[HEAD..HEAD + slot[0] as usize]
+}
+
+/// The diversity mask of a neighbor-list slot.
+fn mask(slot: &[u32]) -> u64 {
+    u64::from(slot[1]) | u64::from(slot[2]) << 32
+}
+
+/// The header of a slot holding `len` ids with diversity `mask`. A list
+/// never outgrows its cap, which [`Hnsw::append`] keeps below `u32::MAX`.
+fn header(len: usize, mask: u64) -> [u32; HEAD] {
+    [len as u32, mask as u32, (mask >> 32) as u32]
+}
+
+/// What one [`Hnsw::append`] copied from the graph it shares structure
+/// with; a fresh build shares nothing and copies nothing.
+#[derive(Clone, Copy, Debug, Default)]
+struct Copies {
+    /// Neighbor lists copied on their first write.
+    lists: usize,
+    /// Point chunks copied: a partly filled last chunk that took rows.
+    point_chunks: usize,
 }
 
 /// Build-local state reused across inserts: the visited set, the work
@@ -228,10 +256,15 @@ struct Links {
 struct Builder {
     visited: Visited,
     stats: HnswStats,
+    copies: Copies,
     /// An overflowing neighbor list scored from its node.
     scored: Vec<Entry>,
     /// Positions of the candidates that passed the diversity test.
     picked: Vec<usize>,
+    /// The ids a prune keeps.
+    kept: Vec<u32>,
+    /// An inserted node's own selection, held while its links prune others.
+    own: Vec<u32>,
 }
 
 /// The positions of the set bits of `mask`, lowest first.
@@ -247,28 +280,33 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// A hierarchical navigable small world graph over an owned copy of the
 /// dataset. See the crate docs for the determinism contract.
+///
+/// A graph made by [`Hnsw::extended`] shares every point chunk and
+/// neighbor list it does not change with the graph it was extended from;
+/// a shared list is copied on its first write (copy-on-write through the
+/// `Arc`s), so neither graph ever sees the other's changes.
 #[derive(Clone, Debug)]
 pub struct Hnsw {
     params: HnswParams,
     dim: usize,
     /// Number of indexed points.
     n: usize,
-    /// Flat row-major point storage: point `i` at `[i·dim, (i+1)·dim)`.
-    /// One contiguous allocation instead of `N` heap rows — the search
-    /// walk's random point accesses stay within one cache-friendly block,
-    /// and slicing it is as cheap as the old `&points[i]`.
-    points: Vec<f64>,
+    /// Row-major point storage in chunks of [`CHUNK_ROWS`] rows: point `i`
+    /// is row `i % CHUNK_ROWS` of `chunks[i / CHUNK_ROWS]`. Only the last
+    /// chunk may hold fewer rows.
+    chunks: Vec<Arc<[f64]>>,
     /// Points with a NaN coordinate: excluded from the graph entirely —
     /// never linked, never an entry point, never returned (the same policy
     /// as the VA-file's poisoned bitmap).
     poisoned: Vec<bool>,
     /// Level of each node (meaningful only for non-poisoned nodes).
     levels: Vec<u32>,
-    /// The neighbor lists of every (node, layer), node-major in one flat
-    /// arena: node `id`'s lists are `links[first[id]..first[id + 1]]`,
-    /// one per layer `0..=level` (none for a poisoned node).
-    links: Vec<Links>,
-    /// Offsets of each node's lists in `links`; `n + 1` entries.
+    /// One slot per (node, layer), node-major: node `id`'s slots are
+    /// `links[first[id]..first[id + 1]]`, one per layer `0..=level` (none
+    /// for a poisoned node). A slot is sized once for its layer's cap:
+    /// [`HEAD`] header words, then room for `cap` ids.
+    links: Vec<Arc<[u32]>>,
+    /// Offsets of each node's slots in `links`; `n + 1` entries.
     first: Vec<u32>,
     /// Entry node (highest level, lowest id among those); `None` iff every
     /// point is poisoned.
@@ -283,7 +321,7 @@ impl Hnsw {
     /// # Panics
     /// Panics if `points` is empty, rows are ragged, or `params` fail
     /// [`HnswParams::try_validate`].
-    pub fn build(points: Vec<Vec<f64>>, params: HnswParams) -> Self {
+    pub fn build(points: &[Vec<f64>], params: HnswParams) -> Self {
         assert!(!points.is_empty(), "Hnsw: empty point set");
         if let Err(e) = params.try_validate() {
             panic!("Hnsw: invalid params: {e}");
@@ -299,7 +337,7 @@ impl Hnsw {
         let t0 = hinn_obs::enabled().then(std::time::Instant::now);
 
         let mut graph = Self::empty(dim, params);
-        let stats = graph.append(&points);
+        let (stats, _) = graph.append(points);
 
         hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
         if let Some(t0) = t0 {
@@ -314,7 +352,7 @@ impl Hnsw {
             params,
             dim,
             n: 0,
-            points: Vec::new(),
+            chunks: Vec::new(),
             poisoned: Vec::new(),
             levels: Vec::new(),
             links: Vec::new(),
@@ -327,13 +365,22 @@ impl Hnsw {
     /// Give `rows` the ids `self.len()..self.len() + rows.len()` and
     /// insert them in strict id order — combined with hash-derived levels
     /// this makes the graph independent of any external concurrency.
-    /// Returns the work counters of the inserts. Rows must have the
-    /// graph's dimensionality.
-    fn append(&mut self, rows: &[Vec<f64>]) -> HnswStats {
+    /// Returns the work counters of the inserts and what they copied.
+    /// Rows must have the graph's dimensionality.
+    fn append(&mut self, rows: &[Vec<f64>]) -> (HnswStats, Copies) {
         let (start, n) = (self.n, self.n + rows.len());
-        self.points.reserve(rows.len() * self.dim);
-        for p in rows {
-            self.points.extend_from_slice(p);
+        let mut copies = Copies::default();
+        let mut rest = rows;
+        if let Some(last) = self.chunks.pop_if(|_| start % CHUNK_ROWS != 0) {
+            // Refill the partly filled last chunk: a copy, since a chunk is
+            // sized to its rows (and most likely shared besides).
+            let take = rest.len().min(CHUNK_ROWS - start % CHUNK_ROWS);
+            self.chunks.push(self.chunk(&last, &rest[..take]));
+            copies.point_chunks += 1;
+            rest = &rest[take..];
+        }
+        for group in rest.chunks(CHUNK_ROWS) {
+            self.chunks.push(self.chunk(&[], group));
         }
         self.poisoned
             .extend(rows.iter().map(|p| p.iter().any(|v| v.is_nan())));
@@ -348,26 +395,58 @@ impl Hnsw {
         };
         let lists = self.links.len() + (start..n).map(layers).sum::<usize>();
         assert!(lists <= u32::MAX as usize, "Hnsw: too many points");
+        assert!(
+            self.params.max_m0 < u32::MAX as usize,
+            "Hnsw: max_m0 exceeds a slot's u32 length"
+        );
         self.first.reserve_exact(rows.len());
         for id in start..n {
             self.first.push(self.first[id] + layers(id) as u32);
         }
         self.links.reserve_exact(lists - self.links.len());
-        self.links.resize_with(lists, Links::default);
+        for id in start..n {
+            for layer in 0..layers(id) {
+                let words = HEAD + self.cap(layer);
+                self.links.push(std::iter::repeat_n(0, words).collect());
+            }
+        }
         self.n = n;
 
         let mut builder = Builder {
             visited: Visited::new(n),
             stats: HnswStats::default(),
+            copies,
             scored: Vec::new(),
             picked: Vec::new(),
+            kept: Vec::new(),
+            own: Vec::new(),
         };
         for id in start as u32..n as u32 {
             if !self.poisoned[id as usize] {
                 self.insert(id, &mut builder);
             }
         }
-        builder.stats
+        (builder.stats, builder.copies)
+    }
+
+    /// A fresh point chunk: the rows of `head` (a chunk's flat storage),
+    /// then `rows`.
+    fn chunk(&self, head: &[f64], rows: &[Vec<f64>]) -> Arc<[f64]> {
+        let mut flat = Vec::with_capacity(head.len() + rows.len() * self.dim);
+        flat.extend_from_slice(head);
+        for row in rows {
+            flat.extend_from_slice(row);
+        }
+        flat.into()
+    }
+
+    /// The link cap on `layer`: `max_m0` on layer 0, `m` above.
+    fn cap(&self, layer: usize) -> usize {
+        if layer == 0 {
+            self.params.max_m0
+        } else {
+            self.params.m
+        }
     }
 
     /// The shared, memoized graph over `points`: built at most once per
@@ -396,10 +475,8 @@ impl Hnsw {
         };
         let arts = hinn_cache::DatasetArtifacts::for_points(points);
         arts.store()
-            .get_or_insert("index.hnsw", params.key(), || {
-                Self::build(points.to_vec(), params)
-            })
-            .unwrap_or_else(|| Arc::new(Self::build(points.to_vec(), params)))
+            .get_or_insert("index.hnsw", params.key(), || Self::build(points, params))
+            .unwrap_or_else(|| Arc::new(Self::build(points, params)))
     }
 
     /// Extend the graph with `rows`, which take the ids
@@ -415,6 +492,14 @@ impl Hnsw {
     /// caller guarantees `rows` follow exactly the rows the graph was
     /// built over (epoch callers key graphs by the append-only
     /// fingerprint chain, which encodes exactly that).
+    ///
+    /// The result shares every point chunk and neighbor list the new rows
+    /// leave alone with `self`, so the copying is O(Δ): the lists the new
+    /// nodes link into, and a partly filled last point chunk (counted as
+    /// `index.lists_copied` and `index.point_chunks_copied`). What stays
+    /// O(N) is a reference-count bump per list and chunk, a copy of the
+    /// 9-byte per-node offsets, levels and poison flags, and the build's
+    /// visited set.
     ///
     /// # Panics
     /// Panics if a new row's length differs from the graph's
@@ -432,9 +517,11 @@ impl Hnsw {
         let t0 = hinn_obs::enabled().then(std::time::Instant::now);
 
         let mut graph = self.clone();
-        let stats = graph.append(rows);
+        let (stats, copies) = graph.append(rows);
 
         hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
+        hinn_obs::counter("index.lists_copied", copies.lists as u64);
+        hinn_obs::counter("index.point_chunks_copied", copies.point_chunks as u64);
         if let Some(t0) = t0 {
             hinn_obs::observe("index.extend_ms", t0.elapsed().as_secs_f64() * 1e3);
         }
@@ -461,25 +548,48 @@ impl Hnsw {
         self.max_level
     }
 
-    /// Point `id` as a slice into the flat row-major storage.
+    /// Point `id` as a slice into its chunk.
     #[inline]
     fn point(&self, id: u32) -> &[f64] {
-        let i = id as usize * self.dim;
-        &self.points[i..i + self.dim]
+        let (chunk, row) = (id as usize / CHUNK_ROWS, id as usize % CHUNK_ROWS);
+        let start = row * self.dim;
+        &self.chunks[chunk][start..start + self.dim]
     }
 
-    /// Node `id`'s neighbor lists, indexed by layer.
+    /// Node `id`'s neighbor-list slots, indexed by layer.
     #[inline]
-    fn layers(&self, id: u32) -> &[Links] {
+    fn layers(&self, id: u32) -> &[Arc<[u32]>] {
         let id = id as usize;
         &self.links[self.first[id] as usize..self.first[id + 1] as usize]
     }
 
-    /// Node `id`'s neighbor list on `layer`.
-    fn list_mut(&mut self, id: u32, layer: usize) -> &mut Links {
+    /// The index of node `id`'s slot on `layer` in `links`.
+    fn slot(&self, id: u32, layer: usize) -> usize {
         let i = self.first[id as usize] as usize + layer;
         debug_assert!(i < self.first[id as usize + 1] as usize);
-        &mut self.links[i]
+        i
+    }
+
+    /// Set node `id`'s list on `layer` to `ids` with diversity `mask`:
+    /// in place if the slot is this graph's own, else in a fresh slot, so
+    /// a list shared with another graph is never copied only to be
+    /// overwritten.
+    fn set_list(&mut self, id: u32, layer: usize, ids: &[u32], mask: u64, copies: &mut Copies) {
+        let i = self.slot(id, layer);
+        let slot = &mut self.links[i];
+        let header = header(ids.len(), mask);
+        if let Some(own) = Arc::get_mut(slot) {
+            own[..HEAD].copy_from_slice(&header);
+            own[HEAD..HEAD + ids.len()].copy_from_slice(ids);
+            return;
+        }
+        let room = slot.len() - HEAD - ids.len();
+        *slot = header
+            .into_iter()
+            .chain(ids.iter().copied())
+            .chain(std::iter::repeat_n(0, room))
+            .collect();
+        copies.lists += 1;
     }
 
     /// Approximate Euclidean k-NN: neighbor ids, closest first. The
@@ -570,9 +680,10 @@ impl Hnsw {
             h.write_usize(self.levels[id] as usize);
             h.write_u8(u8::from(self.poisoned[id]));
             h.write_usize(layers.len());
-            for layer in layers {
-                h.write_usize(layer.ids.len());
-                for &nb in &layer.ids {
+            for slot in layers {
+                let ids = ids(slot);
+                h.write_usize(ids.len());
+                for &nb in ids {
                     h.write_u64(nb as u64);
                 }
             }
@@ -591,9 +702,9 @@ impl Hnsw {
     ) -> Entry {
         loop {
             let mut improved = false;
-            if let Some(nbs) = self.layers(ep.id).get(layer) {
+            if let Some(slot) = self.layers(ep.id).get(layer) {
                 stats.hops += 1;
-                for &u in &nbs.ids {
+                for &u in ids(slot) {
                     let cand = Entry {
                         dist: dist_sq(self.point(u), query),
                         id: u,
@@ -644,8 +755,8 @@ impl Hnsw {
                 }
             }
             stats.hops += 1;
-            if let Some(nbs) = self.layers(cand.id).get(layer) {
-                for &u in &nbs.ids {
+            if let Some(slot) = self.layers(cand.id).get(layer) {
+                for &u in ids(slot) {
                     if !visited.insert(u) {
                         continue;
                     }
@@ -697,6 +808,7 @@ impl Hnsw {
 
         let ef = self.params.ef_construction;
         let mut entries = vec![ep];
+        let mut own = std::mem::take(&mut b.own);
         for layer in (0..=level.min(self.max_level)).rev() {
             let found = self.search_layer(
                 self.point(id),
@@ -706,19 +818,16 @@ impl Hnsw {
                 &mut b.visited,
                 &mut b.stats,
             );
-            let cap = if layer == 0 {
-                self.params.max_m0
-            } else {
-                self.params.m
-            };
-            let mut ids = Vec::with_capacity(found.len().min(cap));
-            let diverse = self.select_diverse(&found, cap, &mut b.picked, &mut ids, &mut b.stats);
-            for &u in &ids {
+            let cap = self.cap(layer);
+            own.clear();
+            let mask = self.select_diverse(&found, cap, &mut b.picked, &mut own, &mut b.stats);
+            for &u in &own {
                 self.link(u, id, layer, cap, b);
             }
-            *self.list_mut(id, layer) = Links { ids, diverse };
+            self.set_list(id, layer, &own, mask, &mut b.copies);
             entries = found;
         }
+        b.own = own;
 
         if level > self.max_level {
             self.max_level = level;
@@ -731,14 +840,21 @@ impl Hnsw {
     fn link(&mut self, node: u32, id: u32, layer: usize, cap: usize, b: &mut Builder) {
         #[cfg(test)]
         if tests::REFERENCE_PRUNE.with(std::cell::Cell::get) {
-            return self.prune_reference(node, id, layer, cap, &mut b.stats);
+            return self.prune_reference(node, id, layer, cap, b);
         }
-        let list = self.list_mut(node, layer);
-        if list.ids.len() < cap {
-            list.ids.push(id);
-        } else {
-            self.prune(node, id, layer, cap, b);
+        let i = self.slot(node, layer);
+        let len = self.links[i][0] as usize;
+        if len >= cap {
+            return self.prune(node, id, layer, cap, b);
         }
+        // No `Weak` exists, so a count above one is exactly when
+        // `make_mut` copies.
+        if Arc::strong_count(&self.links[i]) > 1 {
+            b.copies.lists += 1;
+        }
+        let slot = Arc::make_mut(&mut self.links[i]);
+        slot[HEAD + len] = id;
+        slot[0] += 1;
     }
 
     /// Shrink `node`'s full neighbor list on `layer` plus the new link
@@ -747,25 +863,24 @@ impl Hnsw {
     /// the pairwise diversity tests are not, where the list's mask is
     /// valid (see [`Hnsw::reselect`]).
     fn prune(&mut self, node: u32, id: u32, layer: usize, cap: usize, b: &mut Builder) {
-        let Links { mut ids, diverse } = std::mem::take(self.list_mut(node, layer));
+        let slot = &self.links[self.slot(node, layer)];
         let p = self.point(node);
         b.scored.clear();
-        b.scored.extend(ids.iter().chain([&id]).map(|&u| Entry {
-            dist: dist_sq(self.point(u), p),
-            id: u,
-        }));
+        b.scored
+            .extend(ids(slot).iter().chain([&id]).map(|&u| Entry {
+                dist: dist_sq(self.point(u), p),
+                id: u,
+            }));
         b.stats.dist_evals += b.scored.len();
-        ids.clear();
-        let diverse = if diverse & MASK_VALID != 0 {
-            self.reselect(&mut b.scored, diverse, &mut ids, &mut b.stats)
+        b.kept.clear();
+        let old = mask(slot);
+        let mask = if old & MASK_VALID != 0 {
+            self.reselect(&mut b.scored, old, &mut b.kept, &mut b.stats)
         } else {
             b.scored.sort_unstable();
-            self.select_diverse(&b.scored, cap, &mut b.picked, &mut ids, &mut b.stats)
+            self.select_diverse(&b.scored, cap, &mut b.picked, &mut b.kept, &mut b.stats)
         };
-        // A list that grew by pushes may hold spare capacity; a pruned list
-        // never needs more than `cap`.
-        ids.shrink_to(cap);
-        *self.list_mut(node, layer) = Links { ids, diverse };
+        self.set_list(node, layer, &b.kept, mask, &mut b.copies);
     }
 
     /// [`Hnsw::select_diverse`] of a masked list that overflowed by one
@@ -863,7 +978,7 @@ impl Hnsw {
     ///
     /// Writes the kept ids to `out` (empty on entry) in `(dist, id)` order
     /// and returns their diversity mask, valid iff there were more than
-    /// `cap` candidates and `cap ≤ 63` (see [`Links::diverse`]). `picked`
+    /// `cap` candidates and `cap ≤ 63` (see [`HEAD`]). `picked`
     /// is scratch.
     fn select_diverse(
         &self,
@@ -935,30 +1050,26 @@ mod tests {
             id: u32,
             layer: usize,
             cap: usize,
-            stats: &mut HnswStats,
+            b: &mut Builder,
         ) {
-            let list = &mut self.list_mut(node, layer).ids;
+            let mut list = ids(&self.layers(node)[layer]).to_vec();
             list.push(id);
-            if list.len() <= cap {
-                return;
+            if list.len() > cap {
+                let p = self.point(node);
+                let scored: Vec<Entry> = list
+                    .iter()
+                    .map(|&u| {
+                        b.stats.dist_evals += 1;
+                        Entry {
+                            dist: dist_sq(self.point(u), p),
+                            id: u,
+                        }
+                    })
+                    .collect();
+                let kept = self.select_diverse_reference(scored, cap, &mut b.stats);
+                list = kept.into_iter().map(|e| e.id).collect();
             }
-            let p = self.point(node);
-            let scored: Vec<Entry> = self.layers(node)[layer]
-                .ids
-                .iter()
-                .map(|&u| {
-                    stats.dist_evals += 1;
-                    Entry {
-                        dist: dist_sq(self.point(u), p),
-                        id: u,
-                    }
-                })
-                .collect();
-            let kept = self.select_diverse_reference(scored, cap, stats);
-            *self.list_mut(node, layer) = Links {
-                ids: kept.into_iter().map(|e| e.id).collect(),
-                diverse: 0,
-            };
+            self.set_list(node, layer, &list, 0, &mut b.copies);
         }
 
         fn select_diverse_reference(
@@ -1007,7 +1118,7 @@ mod tests {
     ) -> (Hnsw, HnswStats) {
         REFERENCE_PRUNE.with(|r| r.set(reference));
         let mut graph = Hnsw::empty(points[0].len(), params);
-        let stats = graph.append(points);
+        let (stats, _) = graph.append(points);
         REFERENCE_PRUNE.with(|r| r.set(false));
         (graph, stats)
     }
@@ -1053,13 +1164,13 @@ mod tests {
     fn repeat_builds_are_structurally_identical() {
         let pts = cloud(400, 8, 0xA11CE);
         let params = HnswParams::default().with_seed(7);
-        let a = Hnsw::build(pts.clone(), params);
-        let b = Hnsw::build(pts.clone(), params);
+        let a = Hnsw::build(&pts, params);
+        let b = Hnsw::build(&pts, params);
         assert_eq!(a.digest(), b.digest());
         let q = &pts[13];
         assert_eq!(a.knn(q, 10), b.knn(q, 10));
         // A different seed grows a different graph.
-        let c = Hnsw::build(pts, params.with_seed(8));
+        let c = Hnsw::build(&pts, params.with_seed(8));
         assert_ne!(a.digest(), c.digest());
     }
 
@@ -1068,7 +1179,7 @@ mod tests {
         // With ef ≥ n on a well-connected small graph the beam search
         // degenerates to an exhaustive scan of the component.
         let pts = cloud(300, 6, 0xBEEF);
-        let graph = Hnsw::build(pts.clone(), HnswParams::default().with_ef_search(300));
+        let graph = Hnsw::build(&pts, HnswParams::default().with_ef_search(300));
         for qi in [0, 17, 299] {
             let got = graph.knn(&pts[qi], 10);
             assert_eq!(got, exact_knn(&pts, &pts[qi], 10), "query {qi}");
@@ -1078,7 +1189,7 @@ mod tests {
     #[test]
     fn self_query_returns_self_first() {
         let pts = cloud(500, 12, 0xD0E);
-        let graph = Hnsw::build(pts.clone(), HnswParams::default());
+        let graph = Hnsw::build(&pts, HnswParams::default());
         for qi in [0, 250, 499] {
             let got = graph.knn(&pts[qi], 3);
             assert_eq!(got.first(), Some(&qi), "query {qi}: {got:?}");
@@ -1091,11 +1202,11 @@ mod tests {
         for i in [0, 3, 77, 199] {
             pts[i][1] = f64::NAN;
         }
-        let graph = Hnsw::build(pts.clone(), HnswParams::default());
+        let graph = Hnsw::build(&pts, HnswParams::default());
         for id in 0..graph.n as u32 {
             let layers = graph.layers(id);
             for layer in layers {
-                for &nb in &layer.ids {
+                for &nb in ids(layer) {
                     assert!(
                         !graph.poisoned[nb as usize],
                         "node {id} links poisoned {nb}"
@@ -1113,7 +1224,7 @@ mod tests {
     #[test]
     fn all_points_poisoned_yields_empty_answers() {
         let pts = vec![vec![f64::NAN, 1.0]; 8];
-        let graph = Hnsw::build(pts, HnswParams::default());
+        let graph = Hnsw::build(&pts, HnswParams::default());
         assert!(graph.entry.is_none());
         assert!(graph.knn(&[0.0, 0.0], 5).is_empty());
     }
@@ -1121,7 +1232,7 @@ mod tests {
     #[test]
     fn k_edge_cases() {
         let pts = cloud(50, 4, 0xE);
-        let graph = Hnsw::build(pts.clone(), HnswParams::default());
+        let graph = Hnsw::build(&pts, HnswParams::default());
         assert!(graph.knn(&pts[0], 0).is_empty());
         // k > n clamps to the reachable set.
         let all = graph.knn(&pts[0], 500);
@@ -1135,7 +1246,7 @@ mod tests {
         let a = Hnsw::shared(&pts, params);
         let b = Hnsw::shared(&pts, params);
         assert!(Arc::ptr_eq(&a, &b), "registry must share one graph");
-        assert_eq!(a.digest(), Hnsw::build(pts.clone(), params).digest());
+        assert_eq!(a.digest(), Hnsw::build(&pts, params).digest());
         // Different build params occupy a different artifact slot.
         let c = Hnsw::shared(&pts, params.with_m(8));
         assert!(!Arc::ptr_eq(&a, &c));
@@ -1165,7 +1276,7 @@ mod tests {
             assert_eq!(got, exact_knn(&pts, &pts[qi], 10), "query {qi}");
             // The explicit width also matches a privately built graph
             // whose stored ef_search is that same width.
-            let own = Hnsw::build(pts.clone(), params.with_ef_search(300));
+            let own = Hnsw::build(&pts, params.with_ef_search(300));
             assert_eq!(got, own.knn(&pts[qi], 10), "query {qi}");
         }
     }
@@ -1174,12 +1285,12 @@ mod tests {
     fn extended_graph_is_bit_identical_to_full_build() {
         let pts = cloud(360, 7, 0x57EA4);
         let params = HnswParams::default().with_seed(3);
-        let full = Hnsw::build(pts.clone(), params);
+        let full = Hnsw::build(&pts, params);
         // One big extension and a chain of small ones both land on the
         // full build's digest.
-        let prefix = Hnsw::build(pts[..200].to_vec(), params);
+        let prefix = Hnsw::build(&pts[..200], params);
         assert_eq!(prefix.extended(&pts[200..]).digest(), full.digest());
-        let mut grown = Hnsw::build(pts[..100].to_vec(), params);
+        let mut grown = Hnsw::build(&pts[..100], params);
         for (start, stop) in [(100, 150), (150, 220), (220, 360)] {
             grown = grown.extended(&pts[start..stop]);
         }
@@ -1195,15 +1306,15 @@ mod tests {
         let mut pts = cloud(120, 4, 0xBAD);
         pts[110][0] = f64::NAN;
         let params = HnswParams::default();
-        let grown = Hnsw::build(pts[..100].to_vec(), params).extended(&pts[100..]);
-        assert_eq!(grown.digest(), Hnsw::build(pts.clone(), params).digest());
+        let grown = Hnsw::build(&pts[..100], params).extended(&pts[100..]);
+        assert_eq!(grown.digest(), Hnsw::build(&pts, params).digest());
         assert!(grown.knn(&pts[0], 120).iter().all(|&i| i != 110));
     }
 
     #[test]
     #[should_panic(expected = "ragged extension rows")]
     fn ragged_extension_panics() {
-        let graph = Hnsw::build(cloud(20, 3, 5), HnswParams::default());
+        let graph = Hnsw::build(&cloud(20, 3, 5), HnswParams::default());
         let _ = graph.extended(&[vec![1.0, 2.0]]);
     }
 
@@ -1211,16 +1322,16 @@ mod tests {
     fn layer0_lists_use_the_max_m0_cap() {
         let pts = cloud(600, 4, 0x10_CA0);
         let params = HnswParams::default();
-        let graph = Hnsw::build(pts, params);
+        let graph = Hnsw::build(&pts, params);
         let mut max_deg0 = 0;
         for id in 0..graph.n as u32 {
             let layers = graph.layers(id);
             if let Some(l0) = layers.first() {
-                max_deg0 = max_deg0.max(l0.ids.len());
-                assert!(l0.ids.len() <= params.max_m0, "layer-0 cap violated");
+                max_deg0 = max_deg0.max(ids(l0).len());
+                assert!(ids(l0).len() <= params.max_m0, "layer-0 cap violated");
             }
             for upper in layers.iter().skip(1) {
-                assert!(upper.ids.len() <= params.m, "upper-layer cap violated");
+                assert!(ids(upper).len() <= params.m, "upper-layer cap violated");
             }
         }
         // Fresh nodes link up to max_m0 (not just m) neighbors on layer 0;
@@ -1235,7 +1346,7 @@ mod tests {
     #[test]
     fn stats_count_real_work() {
         let pts = cloud(400, 8, 0x57A75);
-        let graph = Hnsw::build(pts.clone(), HnswParams::default());
+        let graph = Hnsw::build(&pts, HnswParams::default());
         let (ids, stats) = graph.knn_with_stats(&pts[42], 10);
         assert_eq!(ids.len(), 10);
         assert!(stats.hops > 0);
@@ -1252,25 +1363,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty point set")]
     fn empty_input_panics() {
-        let _ = Hnsw::build(Vec::new(), HnswParams::default());
+        let _ = Hnsw::build(&[], HnswParams::default());
     }
 
     #[test]
     #[should_panic(expected = "invalid params")]
     fn invalid_params_panic() {
-        let _ = Hnsw::build(vec![vec![1.0]], HnswParams::default().with_m(1));
+        let _ = Hnsw::build(&[vec![1.0]], HnswParams::default().with_m(1));
     }
 
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_input_panics() {
-        let _ = Hnsw::build(vec![vec![1.0], vec![1.0, 2.0]], HnswParams::default());
+        let _ = Hnsw::build(&[vec![1.0], vec![1.0, 2.0]], HnswParams::default());
     }
 
     #[test]
     #[should_panic(expected = "query dimensionality")]
     fn query_dim_mismatch_panics() {
-        let graph = Hnsw::build(cloud(10, 3, 1), HnswParams::default());
+        let graph = Hnsw::build(&cloud(10, 3, 1), HnswParams::default());
         let _ = graph.knn(&[0.0, 0.0], 1);
     }
 
@@ -1332,7 +1443,7 @@ mod tests {
     /// rest in chunks of 80, 1 and the remainder.
     fn build_fixture(name: &str) -> Hnsw {
         let (pts, params, prefix) = fixture(name);
-        let mut graph = Hnsw::build(pts[..prefix].to_vec(), params);
+        let mut graph = Hnsw::build(&pts[..prefix], params);
         let mut start = prefix;
         for len in [80, 1, usize::MAX] {
             let stop = start.saturating_add(len).min(pts.len());
@@ -1362,7 +1473,7 @@ mod tests {
         }
         let (pts, params, _) = fixture("extended");
         assert_eq!(
-            Hnsw::build(pts, params).digest(),
+            Hnsw::build(&pts, params).digest(),
             build_fixture("extended").digest()
         );
     }
@@ -1380,6 +1491,57 @@ mod tests {
             stats.dist_evals,
             spec.dist_evals
         );
+    }
+
+    #[test]
+    fn extension_copies_only_what_the_new_rows_touch() {
+        // The same 16 rows extend a graph of N and of 2N points. The
+        // distance evaluations are those of the unshared graph (captured
+        // before lists were shared), so sharing changes no work.
+        let params = HnswParams::default();
+        let fresh = cloud(16, 8, 0xF2E5);
+        for (n, evals) in [(2_000, 39_171), (4_000, 41_231)] {
+            let graph = Hnsw::build(&cloud(n, 8, 0xDE17A), params);
+            let mut grown = graph.clone();
+            let (stats, copies) = grown.append(&fresh);
+            let touched: usize = (n..n + fresh.len())
+                .map(|id| (grown.levels[id] as usize + 1) * params.max_m0)
+                .sum();
+            assert!(
+                0 < copies.lists && copies.lists <= touched,
+                "n = {n}: {} lists copied, bound {touched}",
+                copies.lists
+            );
+            assert!(copies.point_chunks <= 1, "n = {n}: {copies:?}");
+            assert_eq!(stats.dist_evals, evals, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn sibling_extensions_leave_their_predecessor_intact() {
+        // Two lineages grow from one predecessor. Its rows all sit in one
+        // partly filled chunk, and both children relink its lists.
+        let pts = clustered(700, 6, 4, 0x51B);
+        let params = HnswParams::default().with_seed(5);
+        let other: Vec<Vec<f64>> = pts[..500].iter().chain(&pts[600..]).cloned().collect();
+        let queries = [0, 250, 498, 499];
+        for reference in [false, true] {
+            REFERENCE_PRUNE.with(|r| r.set(reference));
+            let base = Hnsw::build(&pts[..500], params);
+            let answers = |g: &Hnsw| queries.map(|q| g.knn(&pts[q], 10));
+            let (digest, before) = (base.digest(), answers(&base));
+            let a = base.extended(&pts[500..600]);
+            let b = base.extended(&pts[600..]);
+            // A grandchild writes into lists `a` shares with `base`.
+            let c = a.extended(&pts[600..]);
+            assert_ne!(a.digest(), b.digest());
+            assert_eq!(a.digest(), Hnsw::build(&pts[..600], params).digest());
+            assert_eq!(b.digest(), Hnsw::build(&other, params).digest());
+            assert_eq!(c.digest(), Hnsw::build(&pts, params).digest());
+            assert_eq!(base.digest(), digest, "reference prune: {reference}");
+            assert_eq!(answers(&base), before, "reference prune: {reference}");
+            REFERENCE_PRUNE.with(|r| r.set(false));
+        }
     }
 
     proptest! {
@@ -1410,7 +1572,7 @@ mod tests {
                 .with_seed(seed);
             let (reference, _) = build_counted(&pts, params, true);
             let prefix = 1 + (split * (n - 1) as f64) as usize;
-            let mut grown = Hnsw::build(pts[..prefix].to_vec(), params);
+            let mut grown = Hnsw::build(&pts[..prefix], params);
             for chunk in pts[prefix..].chunks(1 + n / 5) {
                 grown = grown.extended(chunk);
             }

@@ -37,7 +37,7 @@ fn main() {
 
     // Direct use of the graph, outside any session: exact same API shape
     // as the baselines (build once, query many times).
-    let graph = Hnsw::build(data.points.clone(), HnswParams::default());
+    let graph = Hnsw::build(&data.points, HnswParams::default());
     let top = graph.knn(&query, 10);
     println!(
         "hnsw graph: n={} max_level={} — query's top-10: {:?}",

@@ -37,7 +37,7 @@ fn graph_fixture() -> (Vec<Vec<f64>>, HnswParams) {
 #[test]
 fn hnsw_candidates_identical_across_thread_budgets() {
     let (points, params) = graph_fixture();
-    let graph = Hnsw::build(points.clone(), params);
+    let graph = Hnsw::build(&points, params);
     let digest = graph.digest();
     let baseline: Vec<Vec<usize>> = [0, 311, 1199]
         .iter()
@@ -48,7 +48,7 @@ fn hnsw_candidates_identical_across_thread_budgets() {
     // every budget's environment to pin that this stays true end to end.
     for t in BUDGETS {
         let _par = Parallelism::fixed(t); // the budget sessions would use
-        let again = Hnsw::build(points.clone(), params);
+        let again = Hnsw::build(&points, params);
         assert_eq!(again.digest(), digest, "graph differs at budget {t}");
         for (i, &qi) in [0, 311, 1199].iter().enumerate() {
             assert_eq!(
@@ -161,7 +161,7 @@ fn child_digest_emit() {
         return;
     };
     let (points, params) = graph_fixture();
-    let digest = Hnsw::build(points, params).digest();
+    let digest = Hnsw::build(&points, params).digest();
     std::fs::write(path, format!("{:032x}", digest.0)).expect("write digest file");
 }
 
@@ -170,7 +170,7 @@ fn child_digest_emit() {
 #[test]
 fn hnsw_digest_identical_across_processes() {
     let (points, params) = graph_fixture();
-    let local = format!("{:032x}", Hnsw::build(points, params).digest().0);
+    let local = format!("{:032x}", Hnsw::build(&points, params).digest().0);
 
     let exe = std::env::current_exe().expect("test binary path");
     let dir = std::env::temp_dir().join(format!("hinn_index_digest_{}", std::process::id()));

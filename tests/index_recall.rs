@@ -115,7 +115,7 @@ mod poisoned {
                 points[i][j] = f64::NAN;
                 poisoned_ids.push(i);
             }
-            let graph = Hnsw::build(points.clone(), HnswParams::default());
+            let graph = Hnsw::build(&points, HnswParams::default());
             for qi in [0, n / 2, n - 1] {
                 if points[qi].iter().any(|v| v.is_nan()) {
                     continue;
