@@ -60,7 +60,20 @@ pub fn knn_indices_with(
     k: usize,
     metric: Metric,
 ) -> Vec<usize> {
-    select_k(scan_distances(par, points, |p| metric.dist(p, query)), k)
+    knn_indices_by(par, points.len(), |i| &points[i], query, k, metric)
+}
+
+/// [`knn_indices_with`] over the `n` points `row(0..n)`, wherever they are
+/// stored. Same distances and selection, so the same ids.
+pub fn knn_indices_by<'a>(
+    par: Parallelism,
+    n: usize,
+    row: impl Fn(usize) -> &'a [f64] + Sync,
+    query: &[f64],
+    k: usize,
+    metric: Metric,
+) -> Vec<usize> {
+    select_k(scan_distances(par, n, |i| metric.dist(row(i), query)), k)
 }
 
 /// [`knn_indices`] over columnar storage. Same results, bit-identical
@@ -241,24 +254,23 @@ pub fn knn_indices_in_subspace_with(
     k: usize,
     subspace: &Subspace,
 ) -> Vec<usize> {
-    select_k(
-        scan_distances(par, points, |p| subspace.projected_distance(p, query)),
-        k,
-    )
+    let dist = |i: usize| subspace.projected_distance(&points[i], query);
+    select_k(scan_distances(par, points.len(), dist), k)
 }
 
-/// Score every point with `dist`, chunked over the thread budget.
-fn scan_distances<F>(par: Parallelism, points: &[Vec<f64>], dist: F) -> Vec<(f64, usize)>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
+/// Score the points `0..n` with `dist(i)`, chunked over the thread budget.
+fn scan_distances(
+    par: Parallelism,
+    n: usize,
+    dist: impl Fn(usize) -> f64 + Sync,
+) -> Vec<(f64, usize)> {
     let _span = hinn_obs::span!("baselines.knn_scan");
-    hinn_obs::counter("baselines.points_scanned", points.len() as u64);
-    let mut scored: Vec<(f64, usize)> = vec![(0.0, 0); points.len()];
+    hinn_obs::counter("baselines.points_scanned", n as u64);
+    let mut scored: Vec<(f64, usize)> = vec![(0.0, 0); n];
     fill_chunks(par, &mut scored, |start, slice| {
         for (off, slot) in slice.iter_mut().enumerate() {
             let i = start + off;
-            *slot = (dist(&points[i]), i);
+            *slot = (dist(i), i);
         }
     });
     scored

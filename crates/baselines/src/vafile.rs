@@ -135,25 +135,24 @@ impl VaFile {
         &self.points[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// The shared, memoized index over `points`: built at most once per
-    /// (dataset fingerprint, `bits`) process-wide and handed out as an
-    /// `Arc`, via the [`hinn_cache::DatasetArtifacts`] registry. Batch
-    /// harnesses that compare the interactive search against the VA-file
-    /// on the same dataset amortize the O(N·d log N) build this way.
-    ///
-    /// The build is a pure function of `(points, bits)` and the registry
-    /// is keyed by the content fingerprint of `points`, so the shared
-    /// index is bit-identical to a fresh [`VaFile::build`].
+    /// The shared, memoized index of the dataset of `artifacts`: built
+    /// from `rows()` at most once per (dataset fingerprint, `bits`)
+    /// process-wide, so batch harnesses amortize the O(N·d log N) build,
+    /// and bit-identical to a fresh [`VaFile::build`] (a pure function of
+    /// `(points, bits)`). `rows` runs only on a miss.
     ///
     /// # Panics
     /// Panics exactly as [`VaFile::build`] does on invalid input.
-    pub fn shared(points: &[Vec<f64>], bits: u32) -> std::sync::Arc<Self> {
-        let arts = hinn_cache::DatasetArtifacts::for_points(points);
-        arts.store()
+    pub fn shared(
+        artifacts: &hinn_cache::DatasetArtifacts,
+        bits: u32,
+        rows: impl FnOnce() -> Vec<Vec<f64>>,
+    ) -> std::sync::Arc<Self> {
+        artifacts
+            .store()
             .get_or_insert("baselines.vafile", u64::from(bits), || {
-                Self::build(points.to_vec(), bits)
+                Self::build(rows(), bits)
             })
-            .unwrap_or_else(|| std::sync::Arc::new(Self::build(points.to_vec(), bits)))
     }
 
     /// Number of indexed points.
@@ -368,13 +367,14 @@ mod tests {
     #[test]
     fn shared_index_is_memoized_per_bits_and_exact() {
         let pts = random_points(200, 8, 11);
-        let a = VaFile::shared(&pts, 4);
-        let b = VaFile::shared(&pts, 4);
+        let arts = hinn_cache::DatasetArtifacts::for_points(&pts);
+        let a = VaFile::shared(&arts, 4, || pts.clone());
+        let b = VaFile::shared(&arts, 4, || unreachable!("memoized"));
         assert!(
             std::sync::Arc::ptr_eq(&a, &b),
             "same dataset + bits must share one index"
         );
-        let other = VaFile::shared(&pts, 5);
+        let other = VaFile::shared(&arts, 5, || pts.clone());
         assert!(
             !std::sync::Arc::ptr_eq(&a, &other),
             "different bits is a different artifact"

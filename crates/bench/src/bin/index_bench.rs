@@ -7,8 +7,10 @@
 //! of the approximate lists against the exact ones.
 //!
 //! An extension row then grows graphs of N/2 and N points by 40 appends
-//! of 16 rows each, as streaming epochs do, and reports the milliseconds
-//! per [`Hnsw::extended`] and the neighbor lists it copied.
+//! of 16 rows each, as streaming epochs do: each append extends the
+//! graph's row store ([`Hnsw::rows`]) and the graph adopts it. It reports
+//! the milliseconds per append and the neighbor lists [`Hnsw::extended`]
+//! copied.
 //!
 //! ```sh
 //! cargo run --release -p hinn-bench --bin index_bench            # full, N=1M
@@ -97,23 +99,22 @@ struct Extension {
     n: usize,
     ms_per_extension: f64,
     lists_copied: u64,
-    point_chunks_copied: u64,
 }
 
 /// Grow `graph` by `EXTENSIONS` appends of `EXTENSION_ROWS` rows from
-/// `stream`, each extending the last, timing each [`Hnsw::extended`] and
-/// reading what they copied from the telemetry counters.
+/// `stream`, each extending the last, timing each row append plus
+/// [`Hnsw::extended`] and reading the lists they copied from the
+/// telemetry counters.
 fn extend(graph: &Hnsw, stream: &[Vec<f64>]) -> Extension {
     let recorder = Arc::new(SessionRecorder::new());
     let mut total_ms = 0.0;
     {
         let _telemetry = hinn_obs::install(recorder.clone());
-        let mut grown: Option<Hnsw> = None;
-        for rows in stream.chunks(EXTENSION_ROWS).take(EXTENSIONS) {
+        let mut grown = graph.clone();
+        for batch in stream.chunks(EXTENSION_ROWS).take(EXTENSIONS) {
             let t0 = Instant::now();
-            let next = grown.as_ref().unwrap_or(graph).extended(rows);
+            grown = grown.extended(&grown.rows().appended(batch));
             total_ms += t0.elapsed().as_secs_f64() * 1000.0;
-            grown = Some(next);
         }
     }
     let report = recorder.report();
@@ -121,7 +122,6 @@ fn extend(graph: &Hnsw, stream: &[Vec<f64>]) -> Extension {
         n: graph.len(),
         ms_per_extension: total_ms / EXTENSIONS as f64,
         lists_copied: report.counter("index.lists_copied"),
-        point_chunks_copied: report.counter("index.point_chunks_copied"),
     }
 }
 
@@ -246,9 +246,9 @@ fn main() {
     let extensions = [extend(&half, &stream), extend(&graph, &stream)];
     for e in &extensions {
         println!(
-            "extend n={}: {:.3} ms per {EXTENSION_ROWS}-row append, {} lists and {} point chunks \
-             copied over {EXTENSIONS} appends",
-            e.n, e.ms_per_extension, e.lists_copied, e.point_chunks_copied
+            "extend n={}: {:.3} ms per {EXTENSION_ROWS}-row append, {} lists copied over \
+             {EXTENSIONS} appends",
+            e.n, e.ms_per_extension, e.lists_copied
         );
     }
 
@@ -291,11 +291,10 @@ fn main() {
         .iter()
         .map(|e| {
             format!(
-                "{{\"n\": {}, \"ms_per_extension\": {}, \"lists_copied\": {}, \"point_chunks_copied\": {}}}",
+                "{{\"n\": {}, \"ms_per_extension\": {}, \"lists_copied\": {}}}",
                 e.n,
                 json_f64(e.ms_per_extension),
-                e.lists_copied,
-                e.point_chunks_copied
+                e.lists_copied
             )
         })
         .collect();

@@ -67,18 +67,17 @@ impl ArtifactStore {
     /// threads race, the first insertion wins (both computed the same
     /// value — artifacts are pure functions of the dataset and the key).
     ///
-    /// Returns `None` only if the stored artifact under this key has a
-    /// different type than `T` — a programming error (two call sites
-    /// sharing a name but not a type); callers treat it as a miss that
-    /// cannot be stored.
-    pub fn get_or_insert<T, F>(&self, name: &'static str, param: u64, build: F) -> Option<Arc<T>>
+    /// If the artifact stored under this key has a different type than
+    /// `T` — a programming error (two call sites sharing a name but not a
+    /// type) — the result of `build` is returned without being stored.
+    pub fn get_or_insert<T, F>(&self, name: &'static str, param: u64, build: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
         if let Some(stored) = self.lock().get(&(name, param)).cloned() {
             hinn_obs::counter("cache.hit", 1);
-            return stored.downcast::<T>().ok();
+            return stored.downcast::<T>().unwrap_or_else(|_| Arc::new(build()));
         }
         hinn_obs::counter("cache.miss", 1);
         let value = Arc::new(build());
@@ -86,7 +85,7 @@ impl ArtifactStore {
         let slot = inner
             .entry((name, param))
             .or_insert_with(|| value.clone() as StoredArtifact);
-        slot.clone().downcast::<T>().ok()
+        slot.clone().downcast::<T>().unwrap_or(value)
     }
 }
 
@@ -131,34 +130,8 @@ impl DatasetArtifacts {
     /// beyond [`REGISTRY_CAPACITY`] datasets, evicting least-recently
     /// used) as needed.
     pub fn for_points(points: &[Vec<f64>]) -> Arc<Self> {
-        let fp = Fingerprint::of_points(points);
-        let tick = REGISTRY_TICK.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = reg.iter_mut().find(|(k, _, _)| *k == fp.0) {
-            entry.2 = tick;
-            hinn_obs::counter("cache.hit", 1);
-            return entry.1.clone();
-        }
-        hinn_obs::counter("cache.miss", 1);
-        if reg.len() >= REGISTRY_CAPACITY {
-            if let Some(pos) = reg
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, t))| *t)
-                .map(|(i, _)| i)
-            {
-                reg.swap_remove(pos);
-                hinn_obs::counter("cache.evict", 1);
-            }
-        }
-        let arts = Arc::new(Self {
-            fingerprint: fp,
-            n_points: points.len(),
-            dims: points.first().map(|p| p.len()).unwrap_or(0),
-            store: ArtifactStore::new(),
-        });
-        reg.push((fp.0, arts.clone(), tick));
-        arts
+        let dims = points.first().map_or(0, Vec::len);
+        Self::for_fingerprint(Fingerprint::of_points(points), points.len(), dims)
     }
 
     /// The shared artifacts of a dataset already identified by a content
@@ -246,28 +219,27 @@ mod tests {
         let store = ArtifactStore::new();
         let mut calls = 0;
         for _ in 0..3 {
-            let v: Arc<Vec<f64>> = store
-                .get_or_insert("test.mean", 0, || {
-                    calls += 1;
-                    vec![1.0, 2.0]
-                })
-                .expect("consistent type");
+            let v: Arc<Vec<f64>> = store.get_or_insert("test.mean", 0, || {
+                calls += 1;
+                vec![1.0, 2.0]
+            });
             assert_eq!(*v, vec![1.0, 2.0]);
         }
         assert_eq!(calls, 1);
         assert_eq!(store.len(), 1);
         // A different param is a different artifact.
-        let _: Option<Arc<Vec<f64>>> = store.get_or_insert("test.mean", 1, || vec![9.0]);
+        let _: Arc<Vec<f64>> = store.get_or_insert("test.mean", 1, || vec![9.0]);
         assert_eq!(store.len(), 2);
     }
 
     #[test]
-    fn store_type_mismatch_is_none_not_panic() {
+    fn store_type_mismatch_is_built_unstored_not_panic() {
         let _x = crate::testlock::exclusive();
         let store = ArtifactStore::new();
-        let _: Option<Arc<u64>> = store.get_or_insert("test.poly", 0, || 5u64);
-        let wrong: Option<Arc<String>> = store.get_or_insert("test.poly", 0, || "x".to_string());
-        assert!(wrong.is_none(), "type mismatch must surface as None");
+        let _: Arc<u64> = store.get_or_insert("test.poly", 0, || 5u64);
+        let wrong: Arc<String> = store.get_or_insert("test.poly", 0, || "x".to_string());
+        assert_eq!(*wrong, "x", "type mismatch must build, not panic");
+        assert_eq!(store.get::<u64>("test.poly", 0).as_deref(), Some(&5));
     }
 
     #[test]
@@ -291,7 +263,7 @@ mod tests {
         for _ in 0..3 {
             // A fresh `for_points` per "session" still finds the artifact.
             let arts = DatasetArtifacts::for_points(&data);
-            let _: Option<Arc<f64>> = arts.store().get_or_insert("test.stat", 7, || {
+            let _: Arc<f64> = arts.store().get_or_insert("test.stat", 7, || {
                 calls += 1;
                 42.0
             });
@@ -304,7 +276,7 @@ mod tests {
         let _x = crate::testlock::exclusive();
         let store = ArtifactStore::new();
         assert!(store.get::<u64>("test.peek", 0).is_none());
-        let _: Option<Arc<u64>> = store.get_or_insert("test.peek", 0, || 11u64);
+        let _: Arc<u64> = store.get_or_insert("test.peek", 0, || 11u64);
         assert_eq!(store.get::<u64>("test.peek", 0).as_deref(), Some(&11));
         assert!(
             store.get::<String>("test.peek", 0).is_none(),

@@ -17,16 +17,15 @@
 
 use crate::degrade::{DegradationEvent, DegradationKind};
 use crate::error::HinnError;
-use hinn_baselines::{knn_indices_with, Metric, VaFile};
+use hinn_baselines::{knn_indices_by, knn_indices_with, Metric, VaFile};
 use hinn_cache::DatasetArtifacts;
-use hinn_data::EpochSnapshot;
+use hinn_data::{EpochSnapshot, RowChunks};
 use hinn_index::{Hnsw, HnswParams};
 use hinn_par::Parallelism;
-use std::sync::Arc;
 
 /// Tombstone fraction (deleted / appended) beyond which the epoch HNSW
 /// seed abandons the incremental append-only graph — whose searches must
-/// over-fetch past tombstones — and rebuilds over the dense alive rows.
+/// over-fetch past tombstones — and rebuilds over the alive rows.
 pub(crate) const REBUILD_TOMBSTONE_FRACTION: f64 = 0.3;
 
 /// How a session seeds its initial candidate (alive) set. See the module
@@ -133,7 +132,12 @@ impl CandidateSource {
     ) -> Vec<usize> {
         match self {
             Self::Full | Self::Linear { .. } => knn_indices_with(par, points, query, k, Metric::L2),
-            Self::VaFile { bits, .. } => VaFile::shared(points, *bits).knn_with(par, query, k).0,
+            Self::VaFile { bits, .. } => {
+                let arts = DatasetArtifacts::for_points(points);
+                VaFile::shared(&arts, *bits, || points.to_vec())
+                    .knn_with(par, query, k)
+                    .0
+            }
             // `shared` canonicalizes the stored `ef_search` (every ef
             // variant maps to one artifact slot), so the *session's*
             // configured width must travel with the query — never read it
@@ -144,81 +148,48 @@ impl CandidateSource {
         }
     }
 
-    /// The initial alive set of a session: every id for `Full`, else the
-    /// source's top-`budget` ids — clamped up to the effective support
-    /// `s_eff` (a candidate set smaller than the support would starve the
+    /// The initial alive set of a session pinned to `snap`, as dense
+    /// indices into its alive rows: every index for `Full`, else the
+    /// source's top-`budget` — clamped up to the effective support `s_eff`
+    /// (a candidate set smaller than the support would starve the
     /// ranking) and down to `n` — returned sorted ascending, the order the
-    /// engine's alive set always maintains.
+    /// engine's alive set always maintains. The VA-file is shared per
+    /// epoch under the chained fingerprint, the HNSW graph per append
+    /// lineage ([`CandidateSource::epoch_hnsw_ids`]); nothing hashes rows.
     ///
     /// The exact sources always deliver `min(budget, n)` ids, but the
-    /// HNSW graph can return fewer: poisoned (NaN-coordinate) points are
-    /// excluded from the graph entirely and disconnected components are
+    /// HNSW graph can return fewer: disconnected components are
     /// unreachable from the entry point. A seed below the effective
     /// support would starve the ranking — or, below 2 ids, terminate the
     /// session immediately — so when the source under-delivers, the seed
     /// falls back to the exact linear scan and reports a
     /// [`DegradationKind::StarvedSeed`] event for the session's
     /// degradation log. The fallback is a pure function of
-    /// `(points, query, budget)`, so determinism is preserved.
+    /// `(rows, query, budget)`, so determinism is preserved.
     pub(crate) fn seed_alive(
         &self,
         par: Parallelism,
-        points: &[Vec<f64>],
-        query: &[f64],
-        s_eff: usize,
-    ) -> (Vec<usize>, Option<DegradationEvent>) {
-        self.seed_with(par, points, query, s_eff, |budget| {
-            self.top_k(par, points, query, budget)
-        })
-    }
-
-    /// [`CandidateSource::seed_alive`] for a session opened over an
-    /// [`EpochSnapshot`]: `rows` is the snapshot's dense alive view (the
-    /// engine's id space), and the HNSW source reuses the epoch's
-    /// append-only graph lineage instead of hashing the rows.
-    ///
-    /// The graph is keyed by the snapshot's *append* fingerprint chain, so
-    /// epochs that differ only by deletes share one graph and each append
-    /// batch extends the predecessor's graph in place of a rebuild
-    /// (bit-identical to a one-shot build — see `Hnsw::extended`).
-    /// Deletes filter at search time: the walk over-fetches by the
-    /// tombstone count and drops tombstoned ids; past
-    /// [`REBUILD_TOMBSTONE_FRACTION`] the seed rebuilds over the dense
-    /// alive rows, keyed by the full chained fingerprint.
-    pub(crate) fn seed_alive_epoch(
-        &self,
-        par: Parallelism,
         snap: &EpochSnapshot,
-        rows: &[Vec<f64>],
         query: &[f64],
         s_eff: usize,
     ) -> (Vec<usize>, Option<DegradationEvent>) {
-        match self {
-            Self::Hnsw { params, .. } => self.seed_with(par, rows, query, s_eff, |budget| {
-                Self::epoch_hnsw_ids(snap, *params, rows, query, budget)
-            }),
-            // Exact sources scan the dense alive rows directly — dense
-            // indices *are* the engine's point ids under an epoch store.
-            _ => self.seed_alive(par, rows, query, s_eff),
-        }
-    }
-
-    /// The clamping and starved-seed fallback shared by both seeders;
-    /// `top` returns the source's top-`budget` ids.
-    fn seed_with(
-        &self,
-        par: Parallelism,
-        points: &[Vec<f64>],
-        query: &[f64],
-        s_eff: usize,
-        top: impl FnOnce(usize) -> Vec<usize>,
-    ) -> (Vec<usize>, Option<DegradationEvent>) {
-        let n = points.len();
+        let n = snap.len();
         if self.is_full() {
             return ((0..n).collect(), None);
         }
         let budget = self.budget().unwrap_or(n).max(s_eff).min(n);
-        let mut ids = top(budget);
+        let linear = || knn_indices_by(par, n, |k| snap.alive_row(k), query, budget, Metric::L2);
+        let mut ids = match self {
+            Self::Full | Self::Linear { .. } => linear(),
+            Self::VaFile { bits, .. } => {
+                let arts = DatasetArtifacts::for_fingerprint(snap.fingerprint(), n, snap.dim());
+                let rows = || (0..n).map(|k| snap.alive_row(k).to_vec()).collect();
+                VaFile::shared(&arts, *bits, rows)
+                    .knn_with(par, query, budget)
+                    .0
+            }
+            Self::Hnsw { params, .. } => Self::epoch_hnsw_ids(snap, *params, query, budget),
+        };
         let floor = s_eff.max(2).min(n);
         let event = (ids.len() < floor).then(|| {
             let detail = format!(
@@ -229,7 +200,7 @@ impl CandidateSource {
                 budget,
                 floor,
             );
-            ids = Self::Linear { budget }.top_k(par, points, query, budget);
+            ids = linear();
             DegradationEvent::unplaced(DegradationKind::StarvedSeed, detail)
         });
         ids.sort_unstable();
@@ -237,10 +208,19 @@ impl CandidateSource {
     }
 
     /// The epoch HNSW walk: top-`budget` *dense* (alive) indices.
+    ///
+    /// The graph is keyed by the snapshot's *append* fingerprint chain, so
+    /// epochs that differ only by deletes share one graph, and each append
+    /// batch extends the predecessor's graph in place of a rebuild
+    /// (bit-identical to a one-shot build — see `Hnsw::extended`). The
+    /// graph reads its points from the snapshot's own row chunks. Deletes
+    /// filter at search time: the walk over-fetches by the tombstone count
+    /// and drops tombstoned ids; past [`REBUILD_TOMBSTONE_FRACTION`] the
+    /// seed rebuilds over the alive rows, keyed by the full chained
+    /// fingerprint.
     fn epoch_hnsw_ids(
         snap: &EpochSnapshot,
         params: HnswParams,
-        rows: &[Vec<f64>],
         query: &[f64],
         budget: usize,
     ) -> Vec<usize> {
@@ -255,38 +235,38 @@ impl CandidateSource {
             ef_search: HnswParams::default().ef_search,
             ..params
         };
+        let key = canon.key();
         let dead = snap.tombstone_count();
         if dead as f64 > REBUILD_TOMBSTONE_FRACTION * appended as f64 {
-            // Heavily tombstoned: rebuild over the dense alive rows, keyed
-            // by the full chained fingerprint (appends *and* deletes), so
-            // the graph itself carries no tombstones.
-            let arts =
-                DatasetArtifacts::for_fingerprint(snap.fingerprint(), rows.len(), snap.dim());
-            let graph = arts
+            // Heavily tombstoned: rebuild over the alive rows, keyed by the
+            // full chained fingerprint (appends *and* deletes), so the
+            // graph itself carries no tombstones.
+            let build = || {
+                let alive: Vec<&[f64]> = (0..snap.len()).map(|k| snap.alive_row(k)).collect();
+                Hnsw::build_rows(&RowChunks::from_rows(&alive), canon)
+            };
+            return DatasetArtifacts::for_fingerprint(snap.fingerprint(), snap.len(), snap.dim())
                 .store()
-                .get_or_insert("index.hnsw", canon.key(), || Hnsw::build(rows, canon))
-                .unwrap_or_else(|| Arc::new(Hnsw::build(rows, canon)));
-            return graph.knn_with_ef(query, budget, params.ef_search);
+                .get_or_insert("index.hnsw", key, build)
+                .knn_with_ef(query, budget, params.ef_search);
         }
         // Incremental path: one graph over all appended rows, extended
         // from the predecessor epoch's graph when the registry still holds
         // it (a pure optimization — the extension is bit-identical to the
         // fallback one-shot build, so cache residency never changes ids).
-        // Either way the rows are gathered from the segments once: only
-        // the rows past the predecessor graph, or all of them cold.
+        // Either way the graph shares the snapshot's rows and copies none.
         let build = || {
+            let rows = snap.row_chunks();
             snap.prev_append_fingerprint()
                 .and_then(DatasetArtifacts::lookup)
-                .and_then(|prev| prev.store().get::<Hnsw>("index.hnsw", canon.key()))
-                .map(|prev_graph| prev_graph.extended(&snap.rows_since(prev_graph.len())))
-                .unwrap_or_else(|| Hnsw::build(&snap.rows_since(0), canon))
+                .and_then(|prev| prev.store().get::<Hnsw>("index.hnsw", key))
+                .map(|prev_graph| prev_graph.extended(rows))
+                .unwrap_or_else(|| Hnsw::build_rows(rows, canon))
         };
-        let arts =
-            DatasetArtifacts::for_fingerprint(snap.append_fingerprint(), appended, snap.dim());
-        let graph = arts
-            .store()
-            .get_or_insert("index.hnsw", canon.key(), build)
-            .unwrap_or_else(|| Arc::new(build()));
+        let graph =
+            DatasetArtifacts::for_fingerprint(snap.append_fingerprint(), appended, snap.dim())
+                .store()
+                .get_or_insert("index.hnsw", key, build);
         // Over-fetch by the tombstone count so the post-filter can still
         // deliver `budget` alive ids, then map global ids to dense ones
         // (`dense_index_of` is `None` exactly for tombstoned ids).
@@ -303,6 +283,7 @@ impl CandidateSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn cloud(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut state = seed | 1;
@@ -367,11 +348,18 @@ mod tests {
         assert_eq!(full[0], 7, "self-query returns self first");
     }
 
+    /// The current snapshot of a handle seeded with `pts`.
+    fn snapshot(pts: &[Vec<f64>]) -> Arc<EpochSnapshot> {
+        hinn_data::DatasetHandle::new(pts)
+            .expect("clean rows")
+            .snapshot()
+    }
+
     #[test]
     fn seed_alive_full_is_identity() {
         let pts = cloud(40, 4, 0x22);
         let (alive, event) =
-            CandidateSource::Full.seed_alive(Parallelism::serial(), &pts, &pts[0], 20);
+            CandidateSource::Full.seed_alive(Parallelism::serial(), &snapshot(&pts), &pts[0], 20);
         assert_eq!(alive, (0..40).collect::<Vec<_>>());
         assert!(event.is_none());
     }
@@ -379,25 +367,27 @@ mod tests {
     #[test]
     fn seed_alive_is_sorted_and_clamped() {
         let pts = cloud(200, 5, 0x33);
+        let snap = snapshot(&pts);
         let q = pts[0].clone();
         let par = Parallelism::serial();
         // Budget below s_eff clamps up; above n clamps down.
-        let (small, event) = CandidateSource::Linear { budget: 3 }.seed_alive(par, &pts, &q, 30);
+        let (small, event) = CandidateSource::Linear { budget: 3 }.seed_alive(par, &snap, &q, 30);
         assert_eq!(small.len(), 30);
         assert!(event.is_none(), "an exact source never starves");
         assert!(small.windows(2).all(|w| w[0] < w[1]), "sorted unique ids");
         assert!(small.contains(&0), "the query's own point survives");
-        let (big, _) = CandidateSource::Linear { budget: 10_000 }.seed_alive(par, &pts, &q, 30);
+        let (big, _) = CandidateSource::Linear { budget: 10_000 }.seed_alive(par, &snap, &q, 30);
         assert_eq!(big, (0..200).collect::<Vec<_>>());
     }
 
     #[test]
     fn hnsw_seed_alive_is_deterministic() {
         let pts = cloud(400, 8, 0x44);
+        let snap = snapshot(&pts);
         let q = pts[11].clone();
         let src = CandidateSource::hnsw(60);
-        let (a, a_event) = src.seed_alive(Parallelism::serial(), &pts, &q, 20);
-        let (b, _) = src.seed_alive(Parallelism::fixed(7), &pts, &q, 20);
+        let (a, a_event) = src.seed_alive(Parallelism::serial(), &snap, &q, 20);
+        let (b, _) = src.seed_alive(Parallelism::fixed(7), &snap, &q, 20);
         assert_eq!(a, b, "HNSW seeding must ignore the thread budget");
         assert_eq!(a.len(), 60);
         assert!(a_event.is_none(), "a healthy graph delivers the budget");
@@ -405,17 +395,19 @@ mod tests {
 
     #[test]
     fn starved_hnsw_seed_falls_back_to_linear_with_a_diagnostic() {
-        // Poison most of the dataset: the graph indexes only 10 clean
-        // points, so a budget of 30 cannot be met and the seed must fall
-        // back to the exact linear scan instead of starving the session.
-        let mut pts = cloud(40, 4, 0x55);
-        for p in pts.iter_mut().skip(10) {
-            p[0] = f64::NAN;
-        }
+        // Identical rows: every new node's reverse links tie with older
+        // ones and lose the `(dist, id)` prune, so with m = 2 only a
+        // handful of nodes are reachable from the entry point. A budget of
+        // 30 cannot be met and the seed must fall back to the exact
+        // linear scan instead of starving the session.
+        let pts = vec![vec![1.0, -2.0, 0.5, 3.0]; 40];
         let q = pts[0].clone();
-        let src = CandidateSource::hnsw(30);
-        let (alive, event) = src.seed_alive(Parallelism::serial(), &pts, &q, 30);
-        assert_eq!(alive.len(), 30, "fallback must fill the clamped budget");
+        let src = CandidateSource::Hnsw {
+            params: HnswParams::default().with_m(2),
+            budget: 30,
+        };
+        let (alive, event) = src.seed_alive(Parallelism::serial(), &snapshot(&pts), &q, 30);
+        assert_eq!(alive, (0..30).collect::<Vec<_>>(), "the linear scan's ties");
         assert!(alive.windows(2).all(|w| w[0] < w[1]), "sorted unique ids");
         let event = event.expect("a starved seed must be observable");
         assert_eq!(event.kind, DegradationKind::StarvedSeed);
@@ -437,9 +429,8 @@ mod tests {
         chunked.append(&pts[101..]).expect("chunk 3");
 
         let (snap_b, snap_c) = (batched.snapshot(), chunked.snapshot());
-        let (rows_b, rows_c) = (snap_b.rows(), snap_c.rows());
-        let (a, ea) = src.seed_alive_epoch(par, &snap_b, &rows_b, &q, 20);
-        let (b, eb) = src.seed_alive_epoch(par, &snap_c, &rows_c, &q, 20);
+        let (a, ea) = src.seed_alive(par, &snap_b, &q, 20);
+        let (b, eb) = src.seed_alive(par, &snap_c, &q, 20);
         assert_eq!(a, b, "chunked ingest must seed identically to batched");
         assert_eq!(a.len(), 40);
         assert!(ea.is_none() && eb.is_none());
@@ -451,9 +442,8 @@ mod tests {
         batched.delete(&victims).expect("known ids");
         chunked.delete(&victims).expect("known ids");
         let (snap_b, snap_c) = (batched.snapshot(), chunked.snapshot());
-        let (rows_b, rows_c) = (snap_b.rows(), snap_c.rows());
-        let (a2, _) = src.seed_alive_epoch(par, &snap_b, &rows_b, &q, 20);
-        let (b2, _) = src.seed_alive_epoch(par, &snap_c, &rows_c, &q, 20);
+        let (a2, _) = src.seed_alive(par, &snap_b, &q, 20);
+        let (b2, _) = src.seed_alive(par, &snap_c, &q, 20);
         assert_eq!(a2, b2);
         assert_eq!(a2.len(), 40, "tombstones must not starve the seed");
         let alive_ids = snap_b.alive_ids();
@@ -493,8 +483,7 @@ mod tests {
             }
             stop += len;
             let snap = handle.append(&pts[stop - len..stop]).expect("clean rows");
-            let (seed, event) =
-                src.seed_alive_epoch(Parallelism::serial(), &snap, &snap.rows(), &q, 10);
+            let (seed, event) = src.seed_alive(Parallelism::serial(), &snap, &q, 10);
             assert!(event.is_none());
             // The same seed as a one-shot graph over the same rows.
             let reference = Hnsw::build(&pts[..stop], canon);
@@ -522,40 +511,78 @@ mod tests {
         let victims: Vec<usize> = (100..180).collect();
         handle.delete(&victims).expect("known ids");
         let snap = handle.snapshot();
-        let rows = snap.rows();
         assert!(
             snap.tombstone_count() as f64 > REBUILD_TOMBSTONE_FRACTION * snap.appended_len() as f64
         );
         let src = CandidateSource::hnsw(30);
-        let (a, ea) = src.seed_alive_epoch(Parallelism::serial(), &snap, &rows, &q, 15);
-        let (b, _) = src.seed_alive_epoch(Parallelism::fixed(4), &snap, &rows, &q, 15);
+        let (a, ea) = src.seed_alive(Parallelism::serial(), &snap, &q, 15);
+        let (b, _) = src.seed_alive(Parallelism::fixed(4), &snap, &q, 15);
         assert_eq!(a, b, "rebuilt seed must ignore the thread budget");
         assert_eq!(a.len(), 30);
         assert!(ea.is_none());
-        assert!(a.iter().all(|&i| i < rows.len()), "dense ids only");
+        assert!(a.iter().all(|&i| i < snap.len()), "dense ids only");
+        // The same ids as a graph over the gathered alive rows.
+        let rows: Vec<Vec<f64>> = (0..snap.len())
+            .map(|k| snap.alive_row(k).to_vec())
+            .collect();
+        let mut expected = CandidateSource::hnsw(30).top_k(Parallelism::serial(), &rows, &q, 30);
+        expected.sort_unstable();
+        assert_eq!(a, expected);
     }
 
     #[test]
-    fn epoch_exact_sources_match_the_dense_slice_path() {
+    fn epoch_exact_sources_match_top_k_over_the_alive_rows() {
         use hinn_data::DatasetHandle;
         let pts = cloud(120, 4, 0x88);
         let q = pts[0].clone();
         let handle = DatasetHandle::new(&pts).expect("clean rows");
         handle.delete(&[7, 8, 9]).expect("known ids");
         let snap = handle.snapshot();
-        let rows = snap.rows();
+        let rows: Vec<Vec<f64>> = (0..snap.len())
+            .map(|k| snap.alive_row(k).to_vec())
+            .collect();
         let par = Parallelism::serial();
+        let (full, _) = CandidateSource::Full.seed_alive(par, &snap, &q, 10);
+        assert_eq!(full, (0..117).collect::<Vec<_>>());
         for src in [
-            CandidateSource::Full,
             CandidateSource::Linear { budget: 25 },
             CandidateSource::VaFile {
                 bits: 4,
                 budget: 25,
             },
         ] {
-            let (epoch_seed, _) = src.seed_alive_epoch(par, &snap, &rows, &q, 10);
-            let (slice_seed, _) = src.seed_alive(par, &rows, &q, 10);
-            assert_eq!(epoch_seed, slice_seed, "{src:?}");
+            let (seed, event) = src.seed_alive(par, &snap, &q, 10);
+            let mut expected = src.top_k(par, &rows, &q, 25);
+            expected.sort_unstable();
+            assert_eq!(seed, expected, "{src:?}");
+            assert!(event.is_none());
+        }
+    }
+
+    #[test]
+    fn epoch_vafile_seed_is_shared_per_epoch() {
+        use hinn_data::DatasetHandle;
+        let pts = cloud(150, 4, 0x8A);
+        let q = pts[5].clone();
+        let handle = DatasetHandle::new(&pts).expect("clean rows");
+        let src = CandidateSource::VaFile {
+            bits: 5,
+            budget: 20,
+        };
+        let registered = |snap: &EpochSnapshot| {
+            DatasetArtifacts::lookup(snap.fingerprint())
+                .map(|arts| VaFile::shared(&arts, 5, || panic!("not registered")))
+        };
+        for snap in [
+            handle.snapshot(),
+            handle.delete(&[0, 1]).expect("known ids"),
+        ] {
+            let (seed, _) = src.seed_alive(Parallelism::serial(), &snap, &q, 10);
+            assert_eq!(seed.len(), 20);
+            // Registered under the epoch's own fingerprint, over its alive
+            // rows: a delete moves the key on.
+            let index = registered(&snap).expect("keyed by the epoch fingerprint");
+            assert_eq!(index.len(), snap.len());
         }
     }
 }

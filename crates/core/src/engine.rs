@@ -166,10 +166,9 @@ pub struct SessionEngine {
     /// The epoch snapshot pinned at open. Its `(epoch, fingerprint)` pair
     /// travels through snapshots (`x-epoch`) and enforces the typed
     /// consistency rule: resuming against any other epoch is
-    /// [`HinnError::EpochMismatch`].
+    /// [`HinnError::EpochMismatch`]. Point id `i` is its alive row
+    /// `snap.alive_row(i)`.
     snap: Arc<EpochSnapshot>,
-    /// The snapshot's dense alive rows: point id `i` is `points[i]`.
-    points: Arc<Vec<Vec<f64>>>,
     query: Vec<f64>,
     // Derived once at start.
     n: usize,
@@ -252,8 +251,7 @@ impl SessionEngine {
         // contract wants it under a named child span.
         let session_span = hinn_obs::span!("search.session");
         let seed_span = hinn_obs::span!("search.seed");
-        let points = snap.rows();
-        let (n, d) = (points.len(), snap.dim());
+        let (n, d) = (snap.len(), snap.dim());
         validate_inputs(n, d, query)?;
         let s_eff = config.effective_support(d).min(n);
         let n_minors = config.effective_minors(d);
@@ -277,7 +275,7 @@ impl SessionEngine {
         let (alive, seed_event) =
             config
                 .candidates
-                .seed_alive_epoch(config.parallelism, &snap, &points, query, s_eff);
+                .seed_alive(config.parallelism, &snap, query, s_eff);
         drop(seed_span);
         drop(session_span);
         let mut engine = SessionEngine {
@@ -285,7 +283,6 @@ impl SessionEngine {
             drop_config,
             cache,
             snap,
-            points,
             query: query.to_vec(),
             n,
             d,
@@ -642,8 +639,7 @@ impl SessionEngine {
             message: format!("SessionEngine::resume: {message}"),
         };
         let state = snapshot::parse(snapshot).map_err(&resume_err)?;
-        let points = snap.rows();
-        let (n, d) = (points.len(), snap.dim());
+        let (n, d) = (snap.len(), snap.dim());
         validate_inputs(n, d, &state.query)?;
         // Epoch consistency is checked before shape: a handle that moved
         // past the pinned epoch usually changes n as well, and the typed
@@ -694,7 +690,7 @@ impl SessionEngine {
                 "cursor is outside the session's bounds".to_string(),
             ));
         }
-        let alive_cols = gather_columns(d, state.alive.iter().map(|&i| points[i].as_slice()));
+        let alive_cols = gather_columns(d, state.alive.iter().map(|&i| snap.alive_row(i)));
         let alive_fp = dataset_fp.map(|fp| SessionCache::alive_key(fp, &state.alive));
         let spent_at_snapshot = Duration::from_nanos(state.spent_ns);
         let mut engine = SessionEngine {
@@ -702,7 +698,6 @@ impl SessionEngine {
             drop_config,
             cache,
             snap,
-            points,
             query: state.query,
             n,
             d,
@@ -814,10 +809,7 @@ impl SessionEngine {
         let _major_span = hinn_obs::span!("search.major");
         // Candidate-set size entering this major iteration.
         hinn_obs::observe("search.candidates", self.alive.len() as f64);
-        let alive_cols = gather_columns(
-            self.d,
-            self.alive.iter().map(|&i| self.points[i].as_slice()),
-        );
+        let alive_cols = gather_columns(self.d, self.alive.iter().map(|&i| self.snap.alive_row(i)));
         // Every cache key below derives from this fingerprint, so a stale
         // entry is unreachable by construction: shrinking the alive set
         // changes the key instead of invalidating anything.
@@ -1154,11 +1146,10 @@ impl SessionEngine {
     /// The top-`s` ids by `probabilities` ([`rank_neighbors`]), computing
     /// the tie-break distances on first use.
     fn rank(&mut self, probabilities: &[f64]) -> Vec<usize> {
-        let (points, query) = (&self.points, &self.query);
+        let (snap, query) = (&self.snap, &self.query);
         let dist_sq = self.query_dist_sq.get_or_insert_with(|| {
-            points
-                .iter()
-                .map(|p| hinn_linalg::vector::dist_sq(p, query))
+            (0..snap.len())
+                .map(|i| hinn_linalg::vector::dist_sq(snap.alive_row(i), query))
                 .collect()
         });
         rank_neighbors(probabilities, dist_sq, self.s_eff)

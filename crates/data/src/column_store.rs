@@ -101,11 +101,6 @@ impl ColumnStore {
         &self.flat[j * self.n..(j + 1) * self.n]
     }
 
-    /// All columns as slices (cheap: `d` fat pointers).
-    pub fn cols(&self) -> Vec<&[f64]> {
-        (0..self.dim).map(|j| self.col(j)).collect()
-    }
-
     /// Gather row `i` (one point) into `buf`.
     ///
     /// # Panics
@@ -115,14 +110,6 @@ impl ColumnStore {
         for (j, v) in buf.iter_mut().enumerate() {
             *v = self.flat[j * self.n + i];
         }
-    }
-
-    /// Row `i` as a fresh vector (tests/diagnostics; hot paths should
-    /// stay columnar or reuse [`ColumnStore::gather_row`]).
-    pub fn row(&self, i: usize) -> Vec<f64> {
-        let mut buf = vec![0.0; self.dim];
-        self.gather_row(i, &mut buf);
-        buf
     }
 
     /// Euclidean distances from `query` to points `start..start+out.len()`,
@@ -137,15 +124,6 @@ impl ColumnStore {
         let cols = self.range_cols(start, out.len());
         simd::dist_sq_cols(&cols, query, out);
         simd::sqrt_inplace(out);
-    }
-
-    /// Squared-distance variant of [`ColumnStore::dist_scan_into`].
-    ///
-    /// # Panics
-    /// Panics if `query.len() != self.dim()` or the range overruns `N`.
-    pub fn dist_sq_scan_into(&self, query: &[f64], start: usize, out: &mut [f64]) {
-        let cols = self.range_cols(start, out.len());
-        simd::dist_sq_cols(&cols, query, out);
     }
 
     /// The f32 mirror's columns, built on first use (the opt-in
@@ -204,8 +182,10 @@ mod tests {
         let s = ColumnStore::from_rows(&r);
         assert_eq!(s.len(), 37);
         assert_eq!(s.dim(), 5);
+        let mut buf = vec![0.0; 5];
         for (i, row) in r.iter().enumerate() {
-            assert_eq!(&s.row(i), row);
+            s.gather_row(i, &mut buf);
+            assert_eq!(&buf, row);
         }
         for j in 0..5 {
             for i in 0..37 {

@@ -10,10 +10,16 @@
 //!   advance the handle. Mutations serialize on an internal mutex; the
 //!   snapshots they produce are plain `Arc`s that readers hold for as
 //!   long as they like.
-//! * [`EpochSnapshot`] is one frozen epoch: `Arc`'d [`ColumnStore`]
-//!   segments (one per append batch, structurally shared across epochs),
-//!   a tombstone bitmap over global row ids, the epoch-chained
-//!   fingerprints, and the dense alive rows a pinned session runs over.
+//! * [`EpochSnapshot`] is one frozen epoch: every row ever appended, by
+//!   global id, in a [`RowChunks`] store whose full chunks are shared with
+//!   the predecessor epoch; the ascending alive ids (a pinned session's
+//!   point `k` is [`EpochSnapshot::alive_row`]`(k)`); a tombstone bitmap
+//!   over global ids; and the epoch-chained fingerprints. An append
+//!   copies the new rows and at most one partly filled chunk, a delete
+//!   copies no rows. What stays O(N) per mutation is the alive-id list
+//!   (8 B per row), the tombstone bitmap (1 bit per row) and the chunk
+//!   table (one `Arc` per [`CHUNK_ROWS`](crate::row_chunks::CHUNK_ROWS)
+//!   rows).
 //!
 //! # The epoch chain is chunking-invariant
 //!
@@ -28,7 +34,7 @@
 //!
 //! so `append(&[a, b])` and `append(&[a]); append(&[b])` land on the
 //! *same* fingerprint, epoch number (the count of row-operations), and
-//! dense rows — the property the epoch determinism suite pins
+//! alive rows — the property the epoch determinism suite pins
 //! bit-for-bit. The chain deliberately differs from
 //! `Fingerprint::of_points` (which writes the outer length first and so
 //! cannot be prefix-folded); it generalizes the session layer's
@@ -36,7 +42,7 @@
 //! ([`EpochSnapshot::append_fingerprint`]) ignores deletes; the shared
 //! HNSW graph keys on it so tombstones do not force a graph rebuild.
 
-use crate::ColumnStore;
+use crate::RowChunks;
 use hinn_cache::{Fingerprint, Fnv128};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -95,10 +101,11 @@ impl fmt::Display for EpochError {
 
 impl std::error::Error for EpochError {}
 
-/// One frozen epoch of a streaming dataset: shared columnar segments, a
-/// tombstone bitmap over global row ids, the chained fingerprints, and
-/// the dense alive rows. Cheap to clone behind an `Arc`; sessions pin one
-/// at open and keep it for their whole life.
+/// One frozen epoch of a streaming dataset: every row ever appended, by
+/// global id, in shared copy-on-write chunks; the alive ids; a tombstone
+/// bitmap over global ids; and the chained fingerprints. Cheap to clone
+/// behind an `Arc`; sessions pin one at open and keep it for their whole
+/// life.
 #[derive(Debug)]
 pub struct EpochSnapshot {
     /// Row-operations applied since genesis (appended rows + deleted
@@ -106,17 +113,14 @@ pub struct EpochSnapshot {
     /// two snapshots are interchangeable iff their chained fingerprints
     /// match.
     epoch: u64,
-    dim: usize,
-    /// One columnar segment per append batch, shared across epochs.
-    segments: Vec<Arc<ColumnStore>>,
-    /// Global id of each segment's first row.
-    seg_starts: Vec<usize>,
-    /// Rows ever appended (global ids are `0..appended`).
-    appended: usize,
+    /// Every row ever appended (tombstoned included): global id `i` is
+    /// `rows.row(i)`. Shares every full chunk with the predecessor epoch.
+    rows: RowChunks,
+    /// Global id of each alive row, ascending: dense index `k` is global
+    /// id `alive_ids[k]`.
+    alive_ids: Vec<usize>,
     /// Tombstone bitmap over global ids; bit set = deleted.
     tombstones: Vec<u64>,
-    /// Deleted rows (popcount of `tombstones`).
-    dead: usize,
     /// The full epoch chain (appends *and* deletes) — the snapshot's
     /// identity, and the dataset fingerprint epoch-pinned sessions use.
     fp: Fingerprint,
@@ -126,11 +130,6 @@ pub struct EpochSnapshot {
     /// batch, so an index can extend its predecessor's graph instead of
     /// rebuilding.
     prev_append_fp: Option<Fingerprint>,
-    /// Alive rows in global-id order (the dense view the session engine
-    /// runs over), built with the snapshot.
-    dense: Arc<Vec<Vec<f64>>>,
-    /// Global id of each dense row.
-    alive_ids: Arc<Vec<usize>>,
 }
 
 impl EpochSnapshot {
@@ -145,17 +144,12 @@ impl EpochSnapshot {
         let fp = h.finish();
         Ok(Self {
             epoch: 0,
-            dim,
-            segments: Vec::new(),
-            seg_starts: Vec::new(),
-            appended: 0,
+            rows: RowChunks::new(dim),
+            alive_ids: Vec::new(),
             tombstones: Vec::new(),
-            dead: 0,
             fp,
             append_fp: fp,
             prev_append_fp: None,
-            dense: Arc::default(),
-            alive_ids: Arc::default(),
         })
     }
 
@@ -168,12 +162,12 @@ impl EpochSnapshot {
 
     /// Dimensionality `d` (fixed at handle creation).
     pub fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim()
     }
 
     /// Alive rows (appended minus tombstoned).
     pub fn len(&self) -> usize {
-        self.appended - self.dead
+        self.alive_ids.len()
     }
 
     /// `true` iff no rows are alive.
@@ -183,18 +177,18 @@ impl EpochSnapshot {
 
     /// Rows ever appended; global ids are `0..appended_len()`.
     pub fn appended_len(&self) -> usize {
-        self.appended
+        self.rows.len()
     }
 
     /// Tombstoned rows.
     pub fn tombstone_count(&self) -> usize {
-        self.dead
+        self.appended_len() - self.len()
     }
 
     /// `true` iff global id `id` is deleted (out-of-range ids are not
     /// tombstoned — they were never appended).
     pub fn is_tombstoned(&self, id: usize) -> bool {
-        id < self.appended && is_dead(&self.tombstones, id)
+        id < self.appended_len() && is_dead(&self.tombstones, id)
     }
 
     /// The full epoch chain — this snapshot's identity. Sessions pin it
@@ -216,62 +210,54 @@ impl EpochSnapshot {
         self.prev_append_fp
     }
 
-    /// Alive rows in global-id order — the dense view a pinned session
-    /// runs over, shared by every reader of the snapshot.
-    pub fn rows(&self) -> Arc<Vec<Vec<f64>>> {
-        Arc::clone(&self.dense)
+    /// Every row ever appended, by global id (tombstoned included) — for
+    /// index structures that insert append-only and filter tombstones at
+    /// search time, and share these chunks instead of copying the rows.
+    pub fn row_chunks(&self) -> &RowChunks {
+        &self.rows
     }
 
-    /// Global id of each dense row (ascending). `alive_ids()[k]` is the
-    /// global id of `rows()[k]`.
-    pub fn alive_ids(&self) -> Arc<Vec<usize>> {
-        Arc::clone(&self.alive_ids)
+    /// The row with global id `id` (alive or tombstoned).
+    ///
+    /// # Panics
+    /// Panics if `id` was never appended.
+    pub fn row(&self, id: usize) -> &[f64] {
+        self.rows.row(id)
+    }
+
+    /// The `k`-th alive row in global-id order — the row a pinned
+    /// session calls point `k`.
+    ///
+    /// # Panics
+    /// Panics if `k >= self.len()`.
+    #[inline]
+    pub fn alive_row(&self, k: usize) -> &[f64] {
+        self.rows.row(self.alive_ids[k])
+    }
+
+    /// Global id of each alive row (ascending): `alive_ids()[k]` is the
+    /// global id of `alive_row(k)`.
+    pub fn alive_ids(&self) -> &[usize] {
+        &self.alive_ids
     }
 
     /// Dense index of global id `id`, or `None` if tombstoned / out of
     /// range.
     pub fn dense_index_of(&self, id: usize) -> Option<usize> {
-        if id >= self.appended || self.is_tombstoned(id) {
+        if self.is_tombstoned(id) {
             return None;
         }
         self.alive_ids.binary_search(&id).ok()
     }
 
-    /// The rows with global ids `start..appended_len()` (tombstoned
-    /// included), gathered from the segments in id order — for index
-    /// structures that insert append-only and filter tombstones at search
-    /// time. `rows_since(0)` is every row ever appended.
-    pub fn rows_since(&self, start: usize) -> Vec<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.appended.saturating_sub(start));
-        for (seg, &first) in self.segments.iter().zip(&self.seg_starts) {
-            for i in start.saturating_sub(first)..seg.len() {
-                out.push(seg.row(i));
-            }
-        }
-        out
-    }
-
-    /// Gather the row with global id `id` (alive or tombstoned).
-    ///
-    /// # Panics
-    /// Panics if `id` was never appended.
-    pub fn row(&self, id: usize) -> Vec<f64> {
-        assert!(id < self.appended, "EpochSnapshot: row {id} never appended");
-        // seg_starts is ascending; find the owning segment.
-        let seg = match self.seg_starts.binary_search(&id) {
-            Ok(k) => k,
-            Err(k) => k - 1,
-        };
-        self.segments[seg].row(id - self.seg_starts[seg])
-    }
-
-    /// Successor snapshot with `rows` appended (one new shared segment),
-    /// or `None` for an empty batch.
+    /// Successor snapshot with `rows` appended, or `None` for an empty
+    /// batch. Copies the new rows and at most one partly filled chunk.
     fn appended_with(&self, rows: &[Vec<f64>]) -> Result<Option<Self>, EpochError> {
+        let dim = self.dim();
         for (i, row) in rows.iter().enumerate() {
-            if row.len() != self.dim {
+            if row.len() != dim {
                 return Err(EpochError::DimMismatch {
-                    expected: self.dim,
+                    expected: dim,
                     got: row.len(),
                     row: i,
                 });
@@ -289,47 +275,31 @@ impl EpochSnapshot {
             fp = chain_append(fp, row);
             append_fp = chain_append(append_fp, row);
         }
-        let appended = self.appended + rows.len();
-        let mut dense = Vec::with_capacity(self.dense.len() + rows.len());
-        dense.extend_from_slice(&self.dense);
-        dense.extend_from_slice(rows);
-        let mut alive_ids = Vec::with_capacity(dense.len());
+        let (old, new) = (self.appended_len(), self.appended_len() + rows.len());
+        let mut alive_ids = Vec::with_capacity(self.len() + rows.len());
         alive_ids.extend_from_slice(&self.alive_ids);
-        alive_ids.extend(self.appended..appended);
-        let mut segments = self.segments.clone();
-        segments.push(Arc::new(ColumnStore::from_rows(rows)));
-        let mut seg_starts = self.seg_starts.clone();
-        seg_starts.push(self.appended);
+        alive_ids.extend(old..new);
         let mut tombstones = self.tombstones.clone();
-        tombstones.resize(appended.div_ceil(64), 0);
+        tombstones.resize(new.div_ceil(64), 0);
         Ok(Some(Self {
             epoch: self.epoch + rows.len() as u64,
-            dim: self.dim,
-            segments,
-            seg_starts,
-            appended,
+            rows: self.rows.appended(rows),
+            alive_ids,
             tombstones,
-            dead: self.dead,
             fp,
             append_fp,
             prev_append_fp: Some(self.append_fp),
-            dense: Arc::new(dense),
-            alive_ids: Arc::new(alive_ids),
         }))
     }
 
     /// Successor snapshot with `ids` tombstoned, or `None` when every id
     /// is already dead. Out-of-range ids are a typed refusal;
     /// already-tombstoned ids are skipped without folding into the chain
-    /// (so `delete` is idempotent and chunking-invariant).
+    /// (so `delete` is idempotent and chunking-invariant). Copies no rows.
     fn deleted_with(&self, ids: &[usize]) -> Result<Option<Self>, EpochError> {
-        for &id in ids {
-            if id >= self.appended {
-                return Err(EpochError::UnknownId {
-                    id,
-                    appended: self.appended,
-                });
-            }
+        let appended = self.appended_len();
+        if let Some(&id) = ids.iter().find(|&&id| id >= appended) {
+            return Err(EpochError::UnknownId { id, appended });
         }
         let mut fp = self.fp;
         let mut tombstones = self.tombstones.clone();
@@ -345,26 +315,20 @@ impl EpochSnapshot {
         if ops == 0 {
             return Ok(None);
         }
-        let (dense, alive_ids): (Vec<Vec<f64>>, Vec<usize>) = self
-            .dense
+        let alive_ids = self
+            .alive_ids
             .iter()
-            .zip(self.alive_ids.iter())
-            .filter(|&(_, &id)| !is_dead(&tombstones, id))
-            .map(|(row, &id)| (row.clone(), id))
-            .unzip();
+            .copied()
+            .filter(|&id| !is_dead(&tombstones, id))
+            .collect();
         Ok(Some(Self {
             epoch: self.epoch + ops,
-            dim: self.dim,
-            segments: self.segments.clone(),
-            seg_starts: self.seg_starts.clone(),
-            appended: self.appended,
+            rows: self.rows.clone(),
+            alive_ids,
             tombstones,
-            dead: self.dead + ops as usize,
             fp,
             append_fp: self.append_fp,
             prev_append_fp: self.prev_append_fp,
-            dense: Arc::new(dense),
-            alive_ids: Arc::new(alive_ids),
         }))
     }
 }
@@ -438,7 +402,7 @@ impl DatasetHandle {
 
     /// Dimensionality `d` (fixed at creation).
     pub fn dim(&self) -> usize {
-        self.lock().dim
+        self.lock().dim()
     }
 
     /// Alive rows in the current epoch.
@@ -491,6 +455,7 @@ impl DatasetHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row_chunks::CHUNK_ROWS;
 
     fn rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut state = seed;
@@ -519,15 +484,22 @@ mod tests {
         assert_eq!(a.epoch(), b.epoch());
         assert_eq!(a.len(), b.len());
         assert_same_rows(&a, &b);
-        assert_eq!(a.rows_since(0), data);
+        for (id, row) in data.iter().enumerate() {
+            assert_eq!(a.row(id), row.as_slice());
+        }
     }
 
     fn assert_same_rows(a: &EpochSnapshot, b: &EpochSnapshot) {
-        assert_eq!(*a.alive_ids(), *b.alive_ids());
-        for (x, y) in a.rows().iter().zip(b.rows().iter()) {
-            for (p, q) in x.iter().zip(y) {
-                assert_eq!(p.to_bits(), q.to_bits());
-            }
+        assert_eq!(a.alive_ids(), b.alive_ids());
+        for k in 0..a.len() {
+            assert_bits_eq(a.alive_row(k), b.alive_row(k));
+        }
+    }
+
+    fn assert_bits_eq(x: &[f64], y: &[f64]) {
+        assert_eq!(x.len(), y.len());
+        for (p, q) in x.iter().zip(y) {
+            assert_eq!(p.to_bits(), q.to_bits());
         }
     }
 
@@ -586,12 +558,13 @@ mod tests {
         let ids = snap.alive_ids();
         for (k, &id) in ids.iter().enumerate() {
             assert_eq!(snap.dense_index_of(id), Some(k));
-            assert_eq!(snap.rows()[k], data[id]);
-            assert_eq!(snap.row(id), data[id]);
+            assert_eq!(snap.alive_row(k), data[id].as_slice());
         }
-        assert_eq!(snap.rows_since(0), data);
-        assert_eq!(snap.rows_since(48), data[48..]);
-        assert!(snap.rows_since(50).is_empty());
+        // Tombstoned rows stay readable by global id.
+        for (id, row) in data.iter().enumerate() {
+            assert_eq!(snap.row(id), row.as_slice());
+        }
+        assert_eq!(snap.dense_index_of(50), None);
     }
 
     #[test]
@@ -639,5 +612,66 @@ mod tests {
             streamed.snapshot().fingerprint()
         );
         assert_same_rows(&seeded.snapshot(), &streamed.snapshot());
+    }
+
+    /// The chunks of `next` that are the very allocations of `prev`'s.
+    fn shared_chunks(prev: &EpochSnapshot, next: &EpochSnapshot) -> usize {
+        let (a, b) = (prev.row_chunks().chunks(), next.row_chunks().chunks());
+        a.iter().zip(b).filter(|(x, y)| Arc::ptr_eq(x, y)).count()
+    }
+
+    #[test]
+    fn appends_share_every_full_chunk() {
+        // The same 16 rows appended at N and at 2N: every full chunk of
+        // the predecessor is shared, and at most the partly filled last
+        // one differs, so the copying does not grow with N.
+        let fresh = rows(16, 5, 0xF2E5);
+        for n in [2_000, 4_000] {
+            let h = DatasetHandle::new(&rows(n, 5, 0xDA7A)).expect("handle");
+            let prev = h.snapshot();
+            let next = h.append(&fresh).expect("append");
+            let full = n / CHUNK_ROWS;
+            let (a, b) = (prev.row_chunks().chunks(), next.row_chunks().chunks());
+            assert!(a[..full].iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y)));
+            assert!(shared_chunks(&prev, &next) + 1 >= a.len(), "n = {n}");
+            assert_eq!(b.len(), (n + fresh.len()).div_ceil(CHUNK_ROWS));
+            for (i, row) in fresh.iter().enumerate() {
+                assert_eq!(next.row(n + i), row.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn deletes_share_every_chunk() {
+        let h = DatasetHandle::new(&rows(2_500, 4, 0xDE1)).expect("handle");
+        let prev = h.snapshot();
+        let next = h.delete(&[0, 1_024, 2_499]).expect("delete");
+        let chunks = prev.row_chunks().chunks().len();
+        assert_eq!(next.row_chunks().chunks().len(), chunks);
+        assert_eq!(shared_chunks(&prev, &next), chunks);
+        assert_eq!(next.len(), 2_497);
+    }
+
+    #[test]
+    fn pinned_predecessor_keeps_its_rows_after_a_refill() {
+        // 1 030 rows leave 6 in a partly filled last chunk. Two successors
+        // refill it with different rows; the pinned predecessor still
+        // reads every one of its rows bit for bit.
+        let data = rows(1_030, 3, 0x9E1);
+        let h = DatasetHandle::new(&data).expect("handle");
+        let pinned = h.snapshot();
+        let a = h.append(&rows(40, 3, 0xA)).expect("append a");
+        let sibling = EpochSnapshot::appended_with(&pinned, &rows(7, 3, 0xB))
+            .expect("clean rows")
+            .expect("non-empty batch");
+        for snap in [&a, &sibling] {
+            assert_eq!(shared_chunks(&pinned, snap), 1, "only the full chunk");
+        }
+        for (id, row) in data.iter().enumerate() {
+            assert_bits_eq(pinned.row(id), row);
+            assert_bits_eq(a.row(id), row);
+            assert_bits_eq(sibling.row(id), row);
+        }
+        assert_eq!(pinned.appended_len(), 1_030);
     }
 }

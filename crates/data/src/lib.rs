@@ -24,6 +24,7 @@ pub mod csv;
 pub mod dataset;
 pub mod epoch;
 pub mod projected;
+pub mod row_chunks;
 pub mod scaling;
 pub mod uci;
 pub mod uci_load;
@@ -33,6 +34,7 @@ pub use column_store::ColumnStore;
 pub use dataset::Dataset;
 pub use epoch::{DatasetHandle, EpochError, EpochSnapshot};
 pub use projected::{generate_projected_clusters, ProjectedClusterSpec};
+pub use row_chunks::RowChunks;
 pub use scaling::FeatureScaler;
 pub use uci::{simulated_ionosphere, simulated_segmentation};
 pub use uci_load::{load_ionosphere, load_segmentation};

@@ -1,6 +1,7 @@
 //! The HNSW graph: seeded build, deterministic search (see crate docs).
 
 use hinn_cache::{Fingerprint, Fnv128};
+use hinn_data::RowChunks;
 use hinn_linalg::vector::dist_sq;
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
@@ -219,11 +220,6 @@ const MASK_MAX_CAP: usize = 63;
 /// [`Hnsw::prune`] re-derives the mask at once.
 const HEAD: usize = 3;
 
-/// Rows per point chunk. Every chunk but the last holds exactly this
-/// many rows, so point `i` is row `i % CHUNK_ROWS` of chunk
-/// `i / CHUNK_ROWS`, and an extension copies at most the last chunk.
-const CHUNK_ROWS: usize = 1024;
-
 /// The ids of a neighbor-list slot.
 #[inline]
 fn ids(slot: &[u32]) -> &[u32] {
@@ -241,22 +237,14 @@ fn header(len: usize, mask: u64) -> [u32; HEAD] {
     [len as u32, mask as u32, (mask >> 32) as u32]
 }
 
-/// What one [`Hnsw::append`] copied from the graph it shares structure
-/// with; a fresh build shares nothing and copies nothing.
-#[derive(Clone, Copy, Debug, Default)]
-struct Copies {
-    /// Neighbor lists copied on their first write.
-    lists: usize,
-    /// Point chunks copied: a partly filled last chunk that took rows.
-    point_chunks: usize,
-}
-
 /// Build-local state reused across inserts: the visited set, the work
 /// counters and the buffers the neighbor selection fills.
 struct Builder {
     visited: Visited,
     stats: HnswStats,
-    copies: Copies,
+    /// Neighbor lists copied on their first write from the graph this one
+    /// shares structure with (none in a fresh build).
+    lists_copied: usize,
     /// An overflowing neighbor list scored from its node.
     scored: Vec<Entry>,
     /// Positions of the candidates that passed the diversity test.
@@ -278,23 +266,22 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A hierarchical navigable small world graph over an owned copy of the
-/// dataset. See the crate docs for the determinism contract.
+/// A hierarchical navigable small world graph over a shared
+/// [`RowChunks`] point store. See the crate docs for the determinism
+/// contract.
 ///
-/// A graph made by [`Hnsw::extended`] shares every point chunk and
-/// neighbor list it does not change with the graph it was extended from;
-/// a shared list is copied on its first write (copy-on-write through the
-/// `Arc`s), so neither graph ever sees the other's changes.
+/// The graph reads its points from the chunks it was built or extended
+/// over, which it shares with their owner (an epoch snapshot, or the
+/// private store [`Hnsw::build`] makes). A graph made by
+/// [`Hnsw::extended`] also shares every neighbor list it does not change
+/// with the graph it was extended from; a shared list is copied on its
+/// first write (copy-on-write through the `Arc`s), so neither graph ever
+/// sees the other's changes.
 #[derive(Clone, Debug)]
 pub struct Hnsw {
     params: HnswParams,
-    dim: usize,
-    /// Number of indexed points.
-    n: usize,
-    /// Row-major point storage in chunks of [`CHUNK_ROWS`] rows: point `i`
-    /// is row `i % CHUNK_ROWS` of `chunks[i / CHUNK_ROWS]`. Only the last
-    /// chunk may hold fewer rows.
-    chunks: Vec<Arc<[f64]>>,
+    /// The indexed points: point `i` is `rows.row(i)`.
+    rows: RowChunks,
     /// Points with a NaN coordinate: excluded from the graph entirely —
     /// never linked, never an entry point, never returned (the same policy
     /// as the VA-file's poisoned bitmap).
@@ -315,29 +302,35 @@ pub struct Hnsw {
 }
 
 impl Hnsw {
-    /// Build the graph over `points`. Pure function of `(points, params)`:
-    /// repeat builds are bit-identical (see [`Hnsw::digest`]).
+    /// Build the graph over `points`, copied once into a private
+    /// [`RowChunks`] store (see [`Hnsw::build_rows`]).
     ///
     /// # Panics
     /// Panics if `points` is empty, rows are ragged, or `params` fail
     /// [`HnswParams::try_validate`].
     pub fn build(points: &[Vec<f64>], params: HnswParams) -> Self {
-        assert!(!points.is_empty(), "Hnsw: empty point set");
+        Self::build_rows(&RowChunks::from_rows(points), params)
+    }
+
+    /// Build the graph over `rows`, sharing their chunks. Pure function of
+    /// `(rows, params)`: repeat builds are bit-identical (see
+    /// [`Hnsw::digest`]).
+    ///
+    /// # Panics
+    /// Panics if `rows` is empty or zero-dimensional, or `params` fail
+    /// [`HnswParams::try_validate`].
+    pub fn build_rows(rows: &RowChunks, params: HnswParams) -> Self {
+        assert!(!rows.is_empty(), "Hnsw: empty point set");
         if let Err(e) = params.try_validate() {
             panic!("Hnsw: invalid params: {e}");
         }
-        let dim = points[0].len();
-        assert!(dim > 0, "Hnsw: zero-dimensional points");
-        assert!(
-            points.iter().all(|p| p.len() == dim),
-            "Hnsw: ragged point set"
-        );
+        assert!(rows.dim() > 0, "Hnsw: zero-dimensional points");
 
         let _span = hinn_obs::span!("index.build");
         let t0 = hinn_obs::enabled().then(std::time::Instant::now);
 
-        let mut graph = Self::empty(dim, params);
-        let (stats, _) = graph.append(points);
+        let mut graph = Self::empty(rows.dim(), params);
+        let (stats, _) = graph.grow(rows);
 
         hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
         if let Some(t0) = t0 {
@@ -346,13 +339,11 @@ impl Hnsw {
         graph
     }
 
-    /// A graph over no points yet; [`Hnsw::append`] grows it.
+    /// A graph over no points yet; [`Hnsw::grow`] grows it.
     fn empty(dim: usize, params: HnswParams) -> Self {
         Self {
             params,
-            dim,
-            n: 0,
-            chunks: Vec::new(),
+            rows: RowChunks::new(dim),
             poisoned: Vec::new(),
             levels: Vec::new(),
             links: Vec::new(),
@@ -362,28 +353,16 @@ impl Hnsw {
         }
     }
 
-    /// Give `rows` the ids `self.len()..self.len() + rows.len()` and
-    /// insert them in strict id order — combined with hash-derived levels
-    /// this makes the graph independent of any external concurrency.
-    /// Returns the work counters of the inserts and what they copied.
-    /// Rows must have the graph's dimensionality.
-    fn append(&mut self, rows: &[Vec<f64>]) -> (HnswStats, Copies) {
-        let (start, n) = (self.n, self.n + rows.len());
-        let mut copies = Copies::default();
-        let mut rest = rows;
-        if let Some(last) = self.chunks.pop_if(|_| start % CHUNK_ROWS != 0) {
-            // Refill the partly filled last chunk: a copy, since a chunk is
-            // sized to its rows (and most likely shared besides).
-            let take = rest.len().min(CHUNK_ROWS - start % CHUNK_ROWS);
-            self.chunks.push(self.chunk(&last, &rest[..take]));
-            copies.point_chunks += 1;
-            rest = &rest[take..];
-        }
-        for group in rest.chunks(CHUNK_ROWS) {
-            self.chunks.push(self.chunk(&[], group));
-        }
+    /// Adopt `rows`, which extend the graph's own rows, and insert the
+    /// new ids `self.len()..rows.len()` in strict id order — combined with
+    /// hash-derived levels this makes the graph independent of any
+    /// external concurrency. Returns the work counters of the inserts and
+    /// the neighbor lists they copied.
+    fn grow(&mut self, rows: &RowChunks) -> (HnswStats, usize) {
+        let (start, n) = (self.len(), rows.len());
+        self.rows = rows.clone();
         self.poisoned
-            .extend(rows.iter().map(|p| p.iter().any(|v| v.is_nan())));
+            .extend((start..n).map(|id| self.rows.row(id).iter().any(|v| v.is_nan())));
         self.levels
             .extend((start..n).map(|id| self.params.level_of(id) as u32));
         let layers = |id: usize| {
@@ -399,7 +378,7 @@ impl Hnsw {
             self.params.max_m0 < u32::MAX as usize,
             "Hnsw: max_m0 exceeds a slot's u32 length"
         );
-        self.first.reserve_exact(rows.len());
+        self.first.reserve_exact(n - start);
         for id in start..n {
             self.first.push(self.first[id] + layers(id) as u32);
         }
@@ -410,12 +389,11 @@ impl Hnsw {
                 self.links.push(std::iter::repeat_n(0, words).collect());
             }
         }
-        self.n = n;
 
         let mut builder = Builder {
             visited: Visited::new(n),
             stats: HnswStats::default(),
-            copies,
+            lists_copied: 0,
             scored: Vec::new(),
             picked: Vec::new(),
             kept: Vec::new(),
@@ -426,18 +404,7 @@ impl Hnsw {
                 self.insert(id, &mut builder);
             }
         }
-        (builder.stats, builder.copies)
-    }
-
-    /// A fresh point chunk: the rows of `head` (a chunk's flat storage),
-    /// then `rows`.
-    fn chunk(&self, head: &[f64], rows: &[Vec<f64>]) -> Arc<[f64]> {
-        let mut flat = Vec::with_capacity(head.len() + rows.len() * self.dim);
-        flat.extend_from_slice(head);
-        for row in rows {
-            flat.extend_from_slice(row);
-        }
-        flat.into()
+        (builder.stats, builder.lists_copied)
     }
 
     /// The link cap on `layer`: `max_m0` on layer 0, `m` above.
@@ -473,69 +440,69 @@ impl Hnsw {
             ef_search: HnswParams::default().ef_search,
             ..params
         };
-        let arts = hinn_cache::DatasetArtifacts::for_points(points);
-        arts.store()
+        hinn_cache::DatasetArtifacts::for_points(points)
+            .store()
             .get_or_insert("index.hnsw", params.key(), || Self::build(points, params))
-            .unwrap_or_else(|| Arc::new(Self::build(points, params)))
     }
 
-    /// Extend the graph with `rows`, which take the ids
-    /// `self.len()..self.len() + rows.len()` and are inserted in strict id
-    /// order.
+    /// Extend the graph to `rows`, which must begin with the graph's own
+    /// rows ([`RowChunks::starts_with`]; pass [`RowChunks::appended`] of
+    /// [`Hnsw::rows`] or of the snapshot the graph was built over): the
+    /// graph adopts their chunk table (a reference-count bump per chunk,
+    /// no point is copied) and inserts the ids `self.len()..rows.len()`.
     ///
     /// Because [`HnswParams::level_of`] hashes ids independently and
     /// [`Hnsw::build`] inserts in strict id order, a graph built over a
     /// prefix and then extended with the suffix is **bit-identical**
     /// (same [`Hnsw::digest`]) to one built over the full set in one
     /// shot — the property that lets streaming epochs grow the shared
-    /// graph incrementally instead of rebuilding per append batch. The
-    /// caller guarantees `rows` follow exactly the rows the graph was
-    /// built over (epoch callers key graphs by the append-only
-    /// fingerprint chain, which encodes exactly that).
+    /// graph incrementally instead of rebuilding per append batch.
     ///
-    /// The result shares every point chunk and neighbor list the new rows
-    /// leave alone with `self`, so the copying is O(Δ): the lists the new
-    /// nodes link into, and a partly filled last point chunk (counted as
-    /// `index.lists_copied` and `index.point_chunks_copied`). What stays
-    /// O(N) is a reference-count bump per list and chunk, a copy of the
-    /// 9-byte per-node offsets, levels and poison flags, and the build's
-    /// visited set.
+    /// The result shares every neighbor list the new rows leave alone with
+    /// `self`, so the copying is O(Δ): the lists the new nodes link into
+    /// (counted as `index.lists_copied`). What stays O(N) is a
+    /// reference-count bump per list and chunk, a copy of the 9-byte
+    /// per-node offsets, levels and poison flags, and the build's visited
+    /// set.
     ///
     /// # Panics
-    /// Panics if a new row's length differs from the graph's
-    /// dimensionality.
-    pub fn extended(&self, rows: &[Vec<f64>]) -> Self {
-        if rows.is_empty() {
+    /// Panics if `rows` do not begin with the graph's rows.
+    pub fn extended(&self, rows: &RowChunks) -> Self {
+        assert!(
+            rows.starts_with(&self.rows),
+            "Hnsw: extension rows do not extend the graph's rows"
+        );
+        if rows.len() == self.len() {
             return self.clone();
         }
-        assert!(
-            rows.iter().all(|p| p.len() == self.dim),
-            "Hnsw: ragged extension rows"
-        );
 
         let _span = hinn_obs::span!("index.extend");
         let t0 = hinn_obs::enabled().then(std::time::Instant::now);
 
         let mut graph = self.clone();
-        let (stats, copies) = graph.append(rows);
+        let (stats, lists_copied) = graph.grow(rows);
 
         hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
-        hinn_obs::counter("index.lists_copied", copies.lists as u64);
-        hinn_obs::counter("index.point_chunks_copied", copies.point_chunks as u64);
+        hinn_obs::counter("index.lists_copied", lists_copied as u64);
         if let Some(t0) = t0 {
             hinn_obs::observe("index.extend_ms", t0.elapsed().as_secs_f64() * 1e3);
         }
         graph
     }
 
+    /// The indexed points: point `i` is `rows().row(i)`.
+    pub fn rows(&self) -> &RowChunks {
+        &self.rows
+    }
+
     /// Number of indexed points (poisoned ones included in the count).
     pub fn len(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// `true` iff the index is empty (never true post-construction).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.rows.is_empty()
     }
 
     /// The build/search parameters.
@@ -548,12 +515,10 @@ impl Hnsw {
         self.max_level
     }
 
-    /// Point `id` as a slice into its chunk.
+    /// Point `id`.
     #[inline]
     fn point(&self, id: u32) -> &[f64] {
-        let (chunk, row) = (id as usize / CHUNK_ROWS, id as usize % CHUNK_ROWS);
-        let start = row * self.dim;
-        &self.chunks[chunk][start..start + self.dim]
+        self.rows.row(id as usize)
     }
 
     /// Node `id`'s neighbor-list slots, indexed by layer.
@@ -574,7 +539,7 @@ impl Hnsw {
     /// in place if the slot is this graph's own, else in a fresh slot, so
     /// a list shared with another graph is never copied only to be
     /// overwritten.
-    fn set_list(&mut self, id: u32, layer: usize, ids: &[u32], mask: u64, copies: &mut Copies) {
+    fn set_list(&mut self, id: u32, layer: usize, ids: &[u32], mask: u64, copied: &mut usize) {
         let i = self.slot(id, layer);
         let slot = &mut self.links[i];
         let header = header(ids.len(), mask);
@@ -589,7 +554,7 @@ impl Hnsw {
             .chain(ids.iter().copied())
             .chain(std::iter::repeat_n(0, room))
             .collect();
-        copies.lists += 1;
+        *copied += 1;
     }
 
     /// Approximate Euclidean k-NN: neighbor ids, closest first. The
@@ -631,7 +596,7 @@ impl Hnsw {
     /// # Panics
     /// Panics on query dimensionality mismatch.
     pub fn knn_with_stats_ef(&self, query: &[f64], k: usize, ef: usize) -> (Vec<usize>, HnswStats) {
-        assert_eq!(query.len(), self.dim, "Hnsw: query dimensionality");
+        assert_eq!(query.len(), self.rows.dim(), "Hnsw: query dimensionality");
         let mut stats = HnswStats::default();
         let Some(entry) = self.entry else {
             return (Vec::new(), stats);
@@ -644,8 +609,8 @@ impl Hnsw {
 
         let ids = SCRATCH.with(|cell| {
             let mut visited = cell.borrow_mut();
-            if visited.stamp.len() != self.n {
-                *visited = Visited::new(self.n);
+            if visited.stamp.len() != self.len() {
+                *visited = Visited::new(self.len());
             }
             // Greedy descent through the upper layers to a local minimum.
             let mut ep = Entry {
@@ -671,11 +636,11 @@ impl Hnsw {
     /// identical. The equivalence tests compare digests across processes.
     pub fn digest(&self) -> Fingerprint {
         let mut h = Fnv128::new();
-        h.write_usize(self.n);
-        h.write_usize(self.dim);
+        h.write_usize(self.len());
+        h.write_usize(self.rows.dim());
         h.write_u64(self.entry.map(|e| e as u64 + 1).unwrap_or(0));
         h.write_usize(self.max_level);
-        for id in 0..self.n {
+        for id in 0..self.len() {
             let layers = self.layers(id as u32);
             h.write_usize(self.levels[id] as usize);
             h.write_u8(u8::from(self.poisoned[id]));
@@ -824,7 +789,7 @@ impl Hnsw {
             for &u in &own {
                 self.link(u, id, layer, cap, b);
             }
-            self.set_list(id, layer, &own, mask, &mut b.copies);
+            self.set_list(id, layer, &own, mask, &mut b.lists_copied);
             entries = found;
         }
         b.own = own;
@@ -850,7 +815,7 @@ impl Hnsw {
         // No `Weak` exists, so a count above one is exactly when
         // `make_mut` copies.
         if Arc::strong_count(&self.links[i]) > 1 {
-            b.copies.lists += 1;
+            b.lists_copied += 1;
         }
         let slot = Arc::make_mut(&mut self.links[i]);
         slot[HEAD + len] = id;
@@ -880,7 +845,7 @@ impl Hnsw {
             b.scored.sort_unstable();
             self.select_diverse(&b.scored, cap, &mut b.picked, &mut b.kept, &mut b.stats)
         };
-        self.set_list(node, layer, &b.kept, mask, &mut b.copies);
+        self.set_list(node, layer, &b.kept, mask, &mut b.lists_copied);
     }
 
     /// [`Hnsw::select_diverse`] of a masked list that overflowed by one
@@ -1069,7 +1034,7 @@ mod tests {
                 let kept = self.select_diverse_reference(scored, cap, &mut b.stats);
                 list = kept.into_iter().map(|e| e.id).collect();
             }
-            self.set_list(node, layer, &list, 0, &mut b.copies);
+            self.set_list(node, layer, &list, 0, &mut b.lists_copied);
         }
 
         fn select_diverse_reference(
@@ -1118,9 +1083,14 @@ mod tests {
     ) -> (Hnsw, HnswStats) {
         REFERENCE_PRUNE.with(|r| r.set(reference));
         let mut graph = Hnsw::empty(points[0].len(), params);
-        let (stats, _) = graph.append(points);
+        let (stats, _) = graph.grow(&RowChunks::from_rows(points));
         REFERENCE_PRUNE.with(|r| r.set(false));
         (graph, stats)
+    }
+
+    /// `graph` extended with `rows` appended to its own rows.
+    fn grown(graph: &Hnsw, rows: &[Vec<f64>]) -> Hnsw {
+        graph.extended(&graph.rows().appended(rows))
     }
 
     /// Deterministic xorshift point cloud (the harness-wide generator).
@@ -1203,7 +1173,7 @@ mod tests {
             pts[i][1] = f64::NAN;
         }
         let graph = Hnsw::build(&pts, HnswParams::default());
-        for id in 0..graph.n as u32 {
+        for id in 0..graph.len() as u32 {
             let layers = graph.layers(id);
             for layer in layers {
                 for &nb in ids(layer) {
@@ -1289,16 +1259,16 @@ mod tests {
         // One big extension and a chain of small ones both land on the
         // full build's digest.
         let prefix = Hnsw::build(&pts[..200], params);
-        assert_eq!(prefix.extended(&pts[200..]).digest(), full.digest());
-        let mut grown = Hnsw::build(&pts[..100], params);
+        assert_eq!(grown(&prefix, &pts[200..]).digest(), full.digest());
+        let mut graph = Hnsw::build(&pts[..100], params);
         for (start, stop) in [(100, 150), (150, 220), (220, 360)] {
-            grown = grown.extended(&pts[start..stop]);
+            graph = grown(&graph, &pts[start..stop]);
         }
-        assert_eq!(grown.len(), 360);
-        assert_eq!(grown.digest(), full.digest());
-        assert_eq!(grown.knn(&pts[42], 10), full.knn(&pts[42], 10));
+        assert_eq!(graph.len(), 360);
+        assert_eq!(graph.digest(), full.digest());
+        assert_eq!(graph.knn(&pts[42], 10), full.knn(&pts[42], 10));
         // A no-op extension is a plain clone.
-        assert_eq!(full.extended(&[]).digest(), full.digest());
+        assert_eq!(grown(&full, &[]).digest(), full.digest());
     }
 
     #[test]
@@ -1306,16 +1276,46 @@ mod tests {
         let mut pts = cloud(120, 4, 0xBAD);
         pts[110][0] = f64::NAN;
         let params = HnswParams::default();
-        let grown = Hnsw::build(&pts[..100], params).extended(&pts[100..]);
-        assert_eq!(grown.digest(), Hnsw::build(&pts, params).digest());
-        assert!(grown.knn(&pts[0], 120).iter().all(|&i| i != 110));
+        let graph = grown(&Hnsw::build(&pts[..100], params), &pts[100..]);
+        assert_eq!(graph.digest(), Hnsw::build(&pts, params).digest());
+        assert!(graph.knn(&pts[0], 120).iter().all(|&i| i != 110));
     }
 
     #[test]
-    #[should_panic(expected = "ragged extension rows")]
-    fn ragged_extension_panics() {
+    #[should_panic(expected = "do not extend the graph's rows")]
+    fn foreign_extension_rows_panic() {
         let graph = Hnsw::build(&cloud(20, 3, 5), HnswParams::default());
-        let _ = graph.extended(&[vec![1.0, 2.0]]);
+        let _ = graph.extended(&RowChunks::from_rows(&cloud(30, 2, 5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "do not extend the graph's rows")]
+    fn foreign_extension_rows_of_the_same_dimension_panic() {
+        // Longer, same dimension, but other leading rows: the graph must
+        // not re-point its nodes at them.
+        let graph = Hnsw::build(&cloud(20, 3, 5), HnswParams::default());
+        let _ = graph.extended(&RowChunks::from_rows(&cloud(30, 3, 6)));
+    }
+
+    #[test]
+    fn extension_accepts_equal_rows_from_another_store() {
+        // Two handles with the same rows hold the same values in distinct
+        // chunks; a graph built over one extends over the other.
+        let pts = cloud(60, 3, 5);
+        let params = HnswParams::default();
+        let graph = Hnsw::build(&pts[..40], params);
+        let twin = RowChunks::from_rows(&pts[..40]).appended(&pts[40..]);
+        assert_eq!(
+            graph.extended(&twin).digest(),
+            Hnsw::build(&pts, params).digest()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "do not extend the graph's rows")]
+    fn shorter_extension_rows_panic() {
+        let graph = Hnsw::build(&cloud(20, 3, 5), HnswParams::default());
+        let _ = graph.extended(&RowChunks::from_rows(&cloud(10, 3, 5)));
     }
 
     #[test]
@@ -1324,7 +1324,7 @@ mod tests {
         let params = HnswParams::default();
         let graph = Hnsw::build(&pts, params);
         let mut max_deg0 = 0;
-        for id in 0..graph.n as u32 {
+        for id in 0..graph.len() as u32 {
             let layers = graph.layers(id);
             if let Some(l0) = layers.first() {
                 max_deg0 = max_deg0.max(ids(l0).len());
@@ -1447,7 +1447,7 @@ mod tests {
         let mut start = prefix;
         for len in [80, 1, usize::MAX] {
             let stop = start.saturating_add(len).min(pts.len());
-            graph = graph.extended(&pts[start..stop]);
+            graph = grown(&graph, &pts[start..stop]);
             start = stop;
         }
         graph
@@ -1503,18 +1503,32 @@ mod tests {
         for (n, evals) in [(2_000, 39_171), (4_000, 41_231)] {
             let graph = Hnsw::build(&cloud(n, 8, 0xDE17A), params);
             let mut grown = graph.clone();
-            let (stats, copies) = grown.append(&fresh);
+            let (stats, copied) = grown.grow(&graph.rows.appended(&fresh));
             let touched: usize = (n..n + fresh.len())
                 .map(|id| (grown.levels[id] as usize + 1) * params.max_m0)
                 .sum();
             assert!(
-                0 < copies.lists && copies.lists <= touched,
-                "n = {n}: {} lists copied, bound {touched}",
-                copies.lists
+                0 < copied && copied <= touched,
+                "n = {n}: {copied} lists copied, bound {touched}"
             );
-            assert!(copies.point_chunks <= 1, "n = {n}: {copies:?}");
             assert_eq!(stats.dist_evals, evals, "n = {n}");
         }
+    }
+
+    #[test]
+    fn extension_shares_the_rows_it_is_given() {
+        // The graph reads its points from the chunks it is handed: an
+        // extension adopts the extended store's chunk table outright and
+        // still lands on the cold build's digest.
+        let pts = cloud(2_100, 6, 0x5A4E);
+        let params = HnswParams::default();
+        let prefix = RowChunks::from_rows(&pts[..2_050]);
+        let rows = prefix.appended(&pts[2_050..]);
+        let graph = Hnsw::build_rows(&prefix, params).extended(&rows);
+        let (ours, theirs) = (graph.rows.chunks(), rows.chunks());
+        assert_eq!(ours.len(), theirs.len());
+        assert!(ours.iter().zip(theirs).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(graph.digest(), Hnsw::build(&pts, params).digest());
     }
 
     #[test]
@@ -1530,10 +1544,10 @@ mod tests {
             let base = Hnsw::build(&pts[..500], params);
             let answers = |g: &Hnsw| queries.map(|q| g.knn(&pts[q], 10));
             let (digest, before) = (base.digest(), answers(&base));
-            let a = base.extended(&pts[500..600]);
-            let b = base.extended(&pts[600..]);
+            let a = grown(&base, &pts[500..600]);
+            let b = grown(&base, &pts[600..]);
             // A grandchild writes into lists `a` shares with `base`.
-            let c = a.extended(&pts[600..]);
+            let c = grown(&a, &pts[600..]);
             assert_ne!(a.digest(), b.digest());
             assert_eq!(a.digest(), Hnsw::build(&pts[..600], params).digest());
             assert_eq!(b.digest(), Hnsw::build(&other, params).digest());
@@ -1572,11 +1586,11 @@ mod tests {
                 .with_seed(seed);
             let (reference, _) = build_counted(&pts, params, true);
             let prefix = 1 + (split * (n - 1) as f64) as usize;
-            let mut grown = Hnsw::build(&pts[..prefix], params);
+            let mut graph = Hnsw::build(&pts[..prefix], params);
             for chunk in pts[prefix..].chunks(1 + n / 5) {
-                grown = grown.extended(chunk);
+                graph = grown(&graph, chunk);
             }
-            prop_assert_eq!(grown.digest(), reference.digest());
+            prop_assert_eq!(graph.digest(), reference.digest());
         }
     }
 }

@@ -21,6 +21,17 @@ use hinn::core::{
 };
 use hinn::par::SERIAL_CUTOFF;
 use hinn::user::{HeuristicUser, UserModel};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held for the whole of each test. The telemetry recorder is
+/// process-global: while a traced session runs, every session in the
+/// process emits into its report, so an untraced session in a concurrent
+/// test would add its counters to the traced ones compared below.
+static SESSIONS: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    SESSIONS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Deterministic xorshift point cloud sized so worker threads really
 /// spawn (above `SERIAL_CUTOFF` the parallel paths stop running inline).
@@ -61,6 +72,7 @@ fn bits(o: &SearchOutcome) -> (Vec<usize>, Vec<u64>, usize) {
 /// fingerprint, same epoch counter, and bit-identical traced sessions.
 #[test]
 fn chunked_and_batched_ingest_replay_bit_identically() {
+    let _sessions = exclusive();
     let base = cloud(SERIAL_CUTOFF + 60, 6, 0xE90C);
     let extra = cloud(48, 6, 0xA11CE);
     let doomed: Vec<usize> = (0..20).chain([40, 41, 55]).collect();
@@ -123,6 +135,7 @@ fn chunked_and_batched_ingest_replay_bit_identically() {
 /// rebase carries the session onto the new epoch.
 #[test]
 fn epoch_mismatch_round_trips_through_session_snapshot() {
+    let _sessions = exclusive();
     let points = cloud(SERIAL_CUTOFF + 42, 6, 0x5EED);
     let query = points[0].clone();
     let handle = DatasetHandle::new(&points).expect("handle");
