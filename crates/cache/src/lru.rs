@@ -1,12 +1,12 @@
 //! A deterministic, capacity-bounded LRU cache of `Arc`-shared values.
 //!
-//! Keys are content [`Fingerprint`]s, so a resident value is by
-//! construction the exact output of the computation the caller would
-//! otherwise run (see the crate docs' determinism argument). Concurrent
-//! use is safe: values are pure functions of their keys, so while the
-//! *residency* of entries depends on thread interleaving, no observable
-//! result does. Two racing misses on the same key may both compute; the
-//! first insertion wins and both callers receive bit-identical values.
+//! Keys are [`Fingerprint`]s: a session id in the serving layer's warm
+//! tier, or a content fingerprint of a pure computation's full input, in
+//! which case a resident value is by construction the exact output the
+//! caller would otherwise compute (see the crate docs' determinism
+//! argument). Concurrent use is safe. Two racing misses on the same
+//! content key may both compute; the first insertion wins and both
+//! callers receive bit-identical values.
 //!
 //! Telemetry: each probe emits `cache.hit` or `cache.miss`, each eviction
 //! `cache.evict` (via `hinn-obs`, no-ops unless a recorder is installed).
@@ -104,19 +104,6 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// The resident value for `key`, if any, **without** touching the
-    /// cache's state: no `cache.hit`/`cache.miss` counter and no recency
-    /// bump. Callers that must know ahead of time which of a batch of
-    /// probes will miss (to compute the misses together) peek first and
-    /// then replay the real probes, so the counters and the eviction order
-    /// stay those of the probes alone.
-    pub fn peek(&self, key: Fingerprint) -> Option<Arc<V>> {
-        if self.is_disabled() {
-            return None;
-        }
-        self.lock().map.get(&key.0).map(|slot| slot.value.clone())
-    }
-
     /// Insert `value` under `key`, evicting the least-recently-used entry
     /// if the cache is full. If the key is already resident (e.g. a racing
     /// miss computed the same value), the existing entry is kept — both
@@ -183,22 +170,6 @@ impl<V> LruCache<V> {
             return v;
         }
         self.insert(key, build())
-    }
-
-    /// Fallible [`get_or_insert_with`](LruCache::get_or_insert_with):
-    /// errors are returned to the caller and never cached (a transient
-    /// failure must not poison later lookups).
-    pub fn get_or_try_insert_with<F, E>(&self, key: Fingerprint, build: F) -> Result<Arc<V>, E>
-    where
-        F: FnOnce() -> Result<V, E>,
-    {
-        if self.is_disabled() {
-            return build().map(Arc::new);
-        }
-        if let Some(v) = self.get(key) {
-            return Ok(v);
-        }
-        Ok(self.insert(key, build()?))
     }
 }
 
@@ -271,18 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn errors_are_not_cached() {
-        let _x = crate::testlock::exclusive();
-        let c: LruCache<u64> = LruCache::new(4);
-        let r: Result<_, &str> = c.get_or_try_insert_with(fp(5), || Err("transient"));
-        assert!(r.is_err());
-        assert_eq!(c.len(), 0);
-        let ok: Result<_, &str> = c.get_or_try_insert_with(fp(5), || Ok(1));
-        assert_eq!(*ok.unwrap(), 1);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn duplicate_insert_keeps_first_value() {
         let _x = crate::testlock::exclusive();
         let c: LruCache<u64> = LruCache::new(4);
@@ -327,32 +286,6 @@ mod tests {
         assert_eq!(report.counter("cache.hit"), 1);
         assert_eq!(report.counter("cache.miss"), 2);
         assert_eq!(report.counter("cache.evict"), 1);
-    }
-
-    #[test]
-    fn peek_neither_counts_nor_bumps_recency() {
-        let _x = crate::testlock::exclusive();
-        let rec = Arc::new(hinn_obs::SessionRecorder::new());
-        let report = {
-            let _g = hinn_obs::install(rec.clone());
-            let c: LruCache<u64> = LruCache::new(2);
-            c.insert(fp(1), 10);
-            c.insert(fp(2), 20);
-            assert_eq!(c.peek(fp(1)).as_deref(), Some(&10));
-            assert!(c.peek(fp(3)).is_none());
-            // 1 is still the LRU entry: the peek did not refresh it.
-            c.insert(fp(3), 30);
-            assert!(
-                c.peek(fp(1)).is_none(),
-                "peeked entry was still evicted first"
-            );
-            assert!(c.peek(fp(2)).is_some());
-            rec.report()
-        };
-        assert_eq!(report.counter("cache.hit"), 0);
-        assert_eq!(report.counter("cache.miss"), 0);
-        assert_eq!(report.counter("cache.evict"), 1);
-        assert!(LruCache::<u64>::new(0).peek(fp(1)).is_none());
     }
 
     #[test]

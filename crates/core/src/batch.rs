@@ -15,7 +15,6 @@
 //! fails, surfaces as [`QueryReport::Failed`] carrying the typed
 //! [`HinnError`] instead of a panic.
 
-use crate::cache::SessionCache;
 use crate::config::{BandwidthMode, ProjectionMode, SearchConfig};
 use crate::degrade::{DegradationEvent, DegradationKind};
 use crate::diagnosis::SearchDiagnosis;
@@ -182,7 +181,6 @@ pub struct BatchRunner {
     snap: Arc<EpochSnapshot>,
     config: SearchConfig,
     budget: Parallelism,
-    cache: Arc<SessionCache>,
 }
 
 impl BatchRunner {
@@ -190,10 +188,9 @@ impl BatchRunner {
     /// `config`. Rows appended or deleted after construction do not affect
     /// the batch — every query of the batch sees the same snapshot. The
     /// thread budget defaults to the config's
-    /// [`SearchConfig::parallelism`]. One [`SessionCache`] (sized by
-    /// [`SearchConfig::cache`]) is shared by every session of the batch,
-    /// including degraded retries — repeated or similar queries reuse each
-    /// other's projections and profiles.
+    /// [`SearchConfig::parallelism`]. Sessions share nothing but the
+    /// pinned snapshot, so a query's work never depends on which worker
+    /// ran which query before it.
     pub fn new(data: &DatasetHandle, config: SearchConfig) -> Self {
         Self::at(data.snapshot(), config)
     }
@@ -202,12 +199,10 @@ impl BatchRunner {
     pub fn at(snap: Arc<EpochSnapshot>, config: SearchConfig) -> Self {
         config.validate();
         let budget = config.parallelism;
-        let cache = Arc::new(SessionCache::new(config.cache));
         Self {
             snap,
             config,
             budget,
-            cache,
         }
     }
 
@@ -215,20 +210,6 @@ impl BatchRunner {
     /// fingerprint)`.
     pub fn dataset_epoch(&self) -> (u64, Fingerprint) {
         (self.snap.epoch(), self.snap.fingerprint())
-    }
-
-    /// The cache shared across the batch's sessions (e.g. to pre-warm it,
-    /// inspect residency, or share it with a second runner).
-    pub fn session_cache(&self) -> &Arc<SessionCache> {
-        &self.cache
-    }
-
-    /// Share an existing session cache (its policy supersedes
-    /// [`SearchConfig::cache`]) — e.g. one cache across several batches
-    /// over the same dataset.
-    pub fn with_session_cache(mut self, cache: Arc<SessionCache>) -> Self {
-        self.cache = cache;
-        self
     }
 
     /// Cap the worker-thread count (default: the config's parallelism).
@@ -295,13 +276,7 @@ impl BatchRunner {
                         break;
                     }
                     let t0 = std::time::Instant::now();
-                    let first = run_guarded(
-                        &session_config,
-                        &self.cache,
-                        &self.snap,
-                        &queries[i],
-                        &make_user,
-                    );
+                    let first = run_guarded(&session_config, &self.snap, &queries[i], &make_user);
                     let report = match first {
                         Ok(outcome) => QueryReport::from_outcome(
                             i,
@@ -322,13 +297,8 @@ impl BatchRunner {
                         },
                         Err(first_error) => {
                             hinn_obs::counter("batch.retries", 1);
-                            match run_guarded(
-                                &degraded_config,
-                                &self.cache,
-                                &self.snap,
-                                &queries[i],
-                                &make_user,
-                            ) {
+                            match run_guarded(&degraded_config, &self.snap, &queries[i], &make_user)
+                            {
                                 Ok(mut outcome) => {
                                     outcome.transcript.degradations.push(DegradationEvent {
                                         major: None,
@@ -388,7 +358,6 @@ impl BatchRunner {
 /// [`HinnError::SessionPanicked`] instead of unwinding into the batch.
 fn run_guarded<F>(
     config: &SearchConfig,
-    cache: &Arc<SessionCache>,
     snap: &Arc<EpochSnapshot>,
     query: &[f64],
     make_user: &F,
@@ -397,7 +366,7 @@ where
     F: Fn() -> Box<dyn UserModel> + Sync,
 {
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let engine = InteractiveSearch::try_new(config.clone())?.with_session_cache(cache.clone());
+        let engine = InteractiveSearch::try_new(config.clone())?;
         let mut user = make_user();
         engine
             .run_at(snap.clone(), query, user.as_mut(), RunOptions::default())

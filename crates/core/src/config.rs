@@ -2,7 +2,6 @@
 
 use crate::candidates::CandidateSource;
 use crate::error::HinnError;
-use hinn_cache::CachePolicy;
 use hinn_kde::CornerRule;
 use hinn_par::Parallelism;
 
@@ -83,12 +82,6 @@ pub struct SearchConfig {
     /// [`crate::HinnError::Deadline`] instead of a partial answer. `None`
     /// (the default) keeps the engine clock-free outside instrumentation.
     pub deadline: Option<std::time::Duration>,
-    /// Capacities of the session-level memoization caches (see
-    /// [`crate::SessionCache`]). Caching is pure-function memoization over
-    /// content fingerprints, so results are bit-identical whether caches
-    /// are warm, cold, or disabled ([`CachePolicy::disabled`]) — the
-    /// policy only trades memory for repeated-query wall-clock.
-    pub cache: CachePolicy,
     /// How the session's initial candidate set is seeded (see
     /// [`CandidateSource`]). [`CandidateSource::Full`] — every point, the
     /// paper's literal protocol — is the default; the prefiltering sources
@@ -121,7 +114,6 @@ impl Default for SearchConfig {
             record_profiles: false,
             parallelism: Parallelism::default(),
             deadline: None,
-            cache: CachePolicy::default(),
             candidates: CandidateSource::Full,
             max_minors: None,
         }
@@ -159,17 +151,6 @@ impl SearchConfig {
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Set the session-cache capacities (see [`SearchConfig::cache`]).
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache = policy;
-        self
-    }
-
-    /// Turn every session cache off (the compute-always reference path).
-    pub fn without_cache(self) -> Self {
-        self.with_cache_policy(CachePolicy::disabled())
     }
 
     /// Set the candidate source (see [`SearchConfig::candidates`]).
@@ -315,18 +296,6 @@ mod tests {
         assert_eq!(c.projection_mode, ProjectionMode::AxisParallel);
         assert!(c.record_profiles);
         assert_eq!(c.parallelism.threads(), 3);
-    }
-
-    #[test]
-    fn cache_policy_defaults_on_and_can_be_disabled() {
-        let c = SearchConfig::default();
-        assert!(!c.cache.is_disabled(), "caching is on by default");
-        let off = SearchConfig::default().without_cache();
-        assert!(off.cache.is_disabled());
-        off.validate();
-        let tiny = SearchConfig::default().with_cache_policy(CachePolicy::with_uniform_capacity(2));
-        assert_eq!(tiny.cache.projection_capacity, 2);
-        tiny.validate();
     }
 
     #[test]

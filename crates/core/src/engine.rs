@@ -29,9 +29,18 @@
 //!
 //! The engine's state transitions are a line-for-line restructuring of the
 //! original callback loop; `run_with` is now a thin driver over it,
-//! so the golden-session, parallel-equivalence, cache-equivalence, and
-//! obs-invariance suites all pin the engine to the callback-era outputs
-//! bit for bit.
+//! so the golden-session, parallel-equivalence, and obs-invariance suites
+//! all pin the engine to the callback-era outputs bit for bit.
+//!
+//! # Replayed majors
+//!
+//! A major iteration that drops no point (Fig. 2) leaves the next major
+//! the same candidate set. Every input of its views then repeats — alive
+//! set, query, the chain of search subspaces `E_c`, support, mode and grid
+//! settings — so the next major replays the recorded views instead of
+//! recomputing them, absorbing each view's degradation events again. A
+//! resumed engine has no record of the views before its snapshot and
+//! recomputes them.
 //!
 //! # Deadlines
 //!
@@ -42,7 +51,6 @@
 //! session. Checks happen cooperatively at minor-iteration boundaries, as
 //! before.
 
-use crate::cache::{ProjectionCacheCtx, SessionCache};
 use crate::config::{BandwidthMode, SearchConfig};
 use crate::counts::PreferenceCounts;
 use crate::degrade::{DegradationEvent, DegradationKind, DegradationLog};
@@ -118,12 +126,23 @@ impl ViewRequest {
     }
 }
 
+/// One computed view of a major iteration: the projection search's result
+/// with its degradation events, and the rendered profile (`None` when the
+/// profile failed and the view was skipped; failures are recomputed, never
+/// replayed).
+#[derive(Clone)]
+struct MajorView {
+    proj: Arc<(ProjectionResult, Vec<DegradationEvent>)>,
+    profile: Option<Arc<(VisualProfile, ProfileNotes)>>,
+}
+
 /// In-flight state of one major iteration.
 struct MajorCtx {
     /// The alive points as columns, gathered once per major: column `j`
     /// is `alive_cols[j·n .. (j+1)·n]`, `n` the alive count.
     alive_cols: Vec<f64>,
-    alive_fp: Option<Fingerprint>,
+    /// The views computed this major, by minor index.
+    views: Vec<MajorView>,
     counts: PreferenceCounts,
     ec: Subspace,
     major_rec: MajorRecord,
@@ -162,7 +181,6 @@ enum EngineStatus {
 pub struct SessionEngine {
     config: SearchConfig,
     drop_config: DropConfig,
-    cache: Arc<SessionCache>,
     /// The epoch snapshot pinned at open. Its `(epoch, fingerprint)` pair
     /// travels through snapshots (`x-epoch`) and enforces the typed
     /// consistency rule: resuming against any other epoch is
@@ -175,7 +193,6 @@ pub struct SessionEngine {
     d: usize,
     s_eff: usize,
     n_minors: usize,
-    dataset_fp: Option<Fingerprint>,
     /// Compute time accumulated across segments (tracked only when a
     /// deadline is configured; the default path stays clock-free).
     pub(crate) spent: Duration,
@@ -192,14 +209,17 @@ pub struct SessionEngine {
     /// Squared full-space distance of every point to the query, the
     /// ranking's tie-break. Filled at the first ranking, never at open.
     query_dist_sq: Option<Vec<f64>>,
+    /// The previous major's views when it dropped no point: minor `k` of
+    /// the current major repeats view `k` (see the module docs).
+    replay: Vec<MajorView>,
     cur: Option<MajorCtx>,
     pending: Option<PendingView>,
     status: EngineStatus,
 }
 
 impl SessionEngine {
-    /// Start a session over `data`, pinning its current epoch, with a
-    /// fresh cache. Returns the engine together with its first [`Step`].
+    /// Start a session over `data`, pinning its current epoch. Returns the
+    /// engine together with its first [`Step`].
     ///
     /// The session runs against the pinned [`EpochSnapshot`] for its whole
     /// life: concurrent `append`/`delete` on the handle never perturb it,
@@ -221,26 +241,12 @@ impl SessionEngine {
         query: &[f64],
     ) -> Result<(Self, Step), HinnError> {
         config.try_validate()?;
-        let cache = Arc::new(SessionCache::new(config.cache));
-        SessionEngine::start_inner(config, DropConfig::default(), cache, snap, query)
-    }
-
-    /// [`SessionEngine::start_at`] in the serving form: a shared cache,
-    /// so sessions pinned to the same epoch reuse each other's artifacts.
-    pub fn start_at_shared(
-        config: SearchConfig,
-        snap: Arc<EpochSnapshot>,
-        query: &[f64],
-        cache: Arc<SessionCache>,
-    ) -> Result<(Self, Step), HinnError> {
-        config.try_validate()?;
-        SessionEngine::start_inner(config, DropConfig::default(), cache, snap, query)
+        SessionEngine::start_inner(config, DropConfig::default(), snap, query)
     }
 
     pub(crate) fn start_inner(
         config: SearchConfig,
         drop_config: DropConfig,
-        cache: Arc<SessionCache>,
         snap: Arc<EpochSnapshot>,
         query: &[f64],
     ) -> Result<(Self, Step), HinnError> {
@@ -260,10 +266,6 @@ impl SessionEngine {
             hinn_obs::gauge("search.dims", d as f64);
             hinn_obs::gauge("search.threads", config.parallelism.threads() as f64);
         }
-        // Content fingerprint for the session caches: the epoch's chained
-        // fingerprint, O(1). Skipped when every cache is off so that path
-        // keys nothing.
-        let dataset_fp = (!cache.is_disabled()).then(|| snap.fingerprint());
         // Seed the candidate set: the full id range under the default
         // source (bit-for-bit the pre-candidate-source behavior), else the
         // source's top-`budget` ids. Runs before the first view so the
@@ -281,14 +283,12 @@ impl SessionEngine {
         let mut engine = SessionEngine {
             config,
             drop_config,
-            cache,
             snap,
             query: query.to_vec(),
             n,
             d,
             s_eff,
             n_minors,
-            dataset_fp,
             spent: Duration::ZERO,
             alive,
             p_sum: vec![0.0; n],
@@ -298,6 +298,7 @@ impl SessionEngine {
             major: 0,
             stopped: false,
             query_dist_sq: None,
+            replay: Vec::new(),
             cur: None,
             pending: None,
             status: EngineStatus::Active,
@@ -381,11 +382,6 @@ impl SessionEngine {
         &self.config
     }
 
-    /// The session's cache (shared with whoever started the engine).
-    pub fn session_cache(&self) -> &Arc<SessionCache> {
-        &self.cache
-    }
-
     /// The `(epoch counter, chained fingerprint)` this session pinned at
     /// open.
     pub fn dataset_epoch(&self) -> (u64, Fingerprint) {
@@ -426,7 +422,7 @@ impl SessionEngine {
             d: self.d,
             config_fp: config_fingerprint(&self.config),
             query: self.query.clone(),
-            dataset_fp: self.dataset_fp,
+            dataset_fp: Some(self.snap.fingerprint()),
             epoch: Some(self.dataset_epoch()),
             spent_ns: self.spent.as_nanos() as u64,
             major: self.major,
@@ -450,9 +446,9 @@ impl SessionEngine {
         Ok(snapshot::render(&state))
     }
 
-    /// Resume a snapshotted session against `data`'s *current* epoch with
-    /// a fresh cache. Returns the engine re-suspended at the same view it
-    /// was snapshotted at (recomputed, bit-identically).
+    /// Resume a snapshotted session against `data`'s *current* epoch.
+    /// Returns the engine re-suspended at the same view it was snapshotted
+    /// at (recomputed, bit-identically).
     ///
     /// The typed consistency rule: if the handle has moved past the epoch
     /// the session pinned at open — any `append` or `delete` since — this
@@ -462,8 +458,8 @@ impl SessionEngine {
     /// remap with [`SessionEngine::resume_rebased`].
     ///
     /// `config` must match the loop-relevant knobs of the session that was
-    /// snapshotted (guarded by a fingerprint); thread budget, cache
-    /// policy, and deadline may differ — none of them change results.
+    /// snapshotted (guarded by a fingerprint); thread budget and deadline
+    /// may differ — neither changes results.
     pub fn resume(
         config: SearchConfig,
         data: &DatasetHandle,
@@ -480,20 +476,7 @@ impl SessionEngine {
         snapshot: &SessionSnapshot,
     ) -> Result<(Self, Step), HinnError> {
         config.try_validate()?;
-        let cache = Arc::new(SessionCache::new(config.cache));
-        SessionEngine::resume_inner(config, DropConfig::default(), cache, snap, snapshot)
-    }
-
-    /// [`SessionEngine::resume_at`] in the serving form: shared cache,
-    /// `'static` engine (see [`SessionEngine::start_at_shared`]).
-    pub fn resume_at_shared(
-        config: SearchConfig,
-        snap: Arc<EpochSnapshot>,
-        snapshot: &SessionSnapshot,
-        cache: Arc<SessionCache>,
-    ) -> Result<(Self, Step), HinnError> {
-        config.try_validate()?;
-        SessionEngine::resume_inner(config, DropConfig::default(), cache, snap, snapshot)
+        SessionEngine::resume_inner(config, DropConfig::default(), snap, snapshot)
     }
 
     /// Explicitly rebase a snapshotted epoch session onto a *newer* epoch
@@ -520,20 +503,6 @@ impl SessionEngine {
         from: Arc<EpochSnapshot>,
         onto: Arc<EpochSnapshot>,
         snapshot: &SessionSnapshot,
-    ) -> Result<(Self, Step), HinnError> {
-        config.try_validate()?;
-        let cache = Arc::new(SessionCache::new(config.cache));
-        Self::resume_rebased_shared(config, from, onto, snapshot, cache)
-    }
-
-    /// [`SessionEngine::resume_rebased`] with a shared cache (the serving
-    /// form).
-    pub fn resume_rebased_shared(
-        config: SearchConfig,
-        from: Arc<EpochSnapshot>,
-        onto: Arc<EpochSnapshot>,
-        snapshot: &SessionSnapshot,
-        cache: Arc<SessionCache>,
     ) -> Result<(Self, Step), HinnError> {
         let rebase_err = |message: String| HinnError::InvalidInput {
             phase: "session.rebase",
@@ -618,19 +587,12 @@ impl SessionEngine {
             degradations: state.degradations,
         };
         let rebased_snapshot = snapshot::render(&rebased);
-        SessionEngine::resume_inner(
-            config,
-            DropConfig::default(),
-            cache,
-            onto,
-            &rebased_snapshot,
-        )
+        SessionEngine::resume_inner(config, DropConfig::default(), onto, &rebased_snapshot)
     }
 
     pub(crate) fn resume_inner(
         config: SearchConfig,
         drop_config: DropConfig,
-        cache: Arc<SessionCache>,
         snap: Arc<EpochSnapshot>,
         snapshot: &SessionSnapshot,
     ) -> Result<(Self, Step), HinnError> {
@@ -664,9 +626,9 @@ impl SessionEngine {
                 "configuration differs from the snapshotted session's".to_string(),
             ));
         }
-        let dataset_fp = (!cache.is_disabled()).then(|| snap.fingerprint());
-        if let (Some(now), Some(then)) = (dataset_fp, state.dataset_fp) {
-            if now != then {
+        // Old snapshots may carry `dataset-fp -`: nothing to check then.
+        if let Some(then) = state.dataset_fp {
+            if snap.fingerprint() != then {
                 return Err(resume_err(
                     "data set content differs from the snapshotted session's".to_string(),
                 ));
@@ -691,19 +653,16 @@ impl SessionEngine {
             ));
         }
         let alive_cols = gather_columns(d, state.alive.iter().map(|&i| snap.alive_row(i)));
-        let alive_fp = dataset_fp.map(|fp| SessionCache::alive_key(fp, &state.alive));
         let spent_at_snapshot = Duration::from_nanos(state.spent_ns);
         let mut engine = SessionEngine {
             config,
             drop_config,
-            cache,
             snap,
             query: state.query,
             n,
             d,
             s_eff,
             n_minors,
-            dataset_fp,
             spent: spent_at_snapshot,
             alive: state.alive,
             p_sum: state.p_sum,
@@ -718,9 +677,10 @@ impl SessionEngine {
             major: state.major,
             stopped: state.stopped,
             query_dist_sq: None,
+            replay: Vec::new(),
             cur: Some(MajorCtx {
                 alive_cols,
-                alive_fp,
+                views: Vec::new(),
                 counts: PreferenceCounts::from_parts(state.counts_v, state.counts_picks),
                 ec: state.ec,
                 major_rec: MajorRecord {
@@ -810,15 +770,9 @@ impl SessionEngine {
         // Candidate-set size entering this major iteration.
         hinn_obs::observe("search.candidates", self.alive.len() as f64);
         let alive_cols = gather_columns(self.d, self.alive.iter().map(|&i| self.snap.alive_row(i)));
-        // Every cache key below derives from this fingerprint, so a stale
-        // entry is unreachable by construction: shrinking the alive set
-        // changes the key instead of invalidating anything.
-        let alive_fp = self
-            .dataset_fp
-            .map(|fp| SessionCache::alive_key(fp, &self.alive));
         self.cur = Some(MajorCtx {
             alive_cols,
-            alive_fp,
+            views: Vec::new(),
             counts: PreferenceCounts::new(self.n),
             ec: Subspace::full(self.d),
             major_rec: MajorRecord {
@@ -890,34 +844,13 @@ impl SessionEngine {
         // the invariance tests compare fields that exist on both paths).
         let timing = hinn_obs::enabled();
         let t_start = timing.then(Instant::now);
-        // L1: the whole Fig. 3 projection search, memoized with its
-        // degradation events (replayed on a hit so warm transcripts match
-        // cold ones). Errors are never cached.
-        let proj_pair: Arc<(ProjectionResult, Vec<DegradationEvent>)> = match cur.alive_fp {
-            Some(afp) => {
-                let cache_ctx = ProjectionCacheCtx {
-                    alive_fp: afp,
-                    cache: &self.cache,
-                };
-                let key = SessionCache::projection_key(
-                    afp,
-                    &self.query,
-                    &cur.ec,
-                    self.s_eff,
-                    self.config.projection_mode,
-                );
-                self.cache.projection.get_or_try_insert_with(key, || {
-                    try_find_query_centered_projection_cols(
-                        par,
-                        &cols,
-                        &self.query,
-                        &cur.ec,
-                        self.s_eff,
-                        self.config.projection_mode,
-                        Some(&cache_ctx),
-                    )
-                })?
-            }
+        // The whole Fig. 3 projection search with its degradation events,
+        // replayed when the previous major ran on this candidate set (the
+        // events are absorbed again, so the transcript is the recomputed
+        // one). Errors end the session, so they are never replayed.
+        let replayed = self.replay.get(minor).cloned();
+        let proj_pair = match &replayed {
+            Some(view) => view.proj.clone(),
             None => Arc::new(try_find_query_centered_projection_cols(
                 par,
                 &cols,
@@ -925,7 +858,6 @@ impl SessionEngine {
                 &cur.ec,
                 self.s_eff,
                 self.config.projection_mode,
-                None,
             )?),
         };
         let proj = &proj_pair.0;
@@ -934,9 +866,8 @@ impl SessionEngine {
             .degradations
             .absorb(proj_pair.1.clone(), major, minor);
         let t_proj = timing.then(Instant::now);
-        // L2: projected 2-D coordinates plus the grid KDE. The projection
-        // step above is part of the memoized value, so a hit skips both
-        // the O(n·d) projection and the O(n·p²) density estimation.
+        // Projected 2-D coordinates plus the grid KDE; a replayed view
+        // skips both the O(n·d) projection and the O(n·p²) estimation.
         let build_profile = || {
             // The view's first two coordinates, `dot_cols` over each chunk
             // of the alive columns: bit-identical to `project(p)[0..2]`.
@@ -972,22 +903,18 @@ impl SessionEngine {
                 ),
             }
         };
-        let built: Result<Arc<(VisualProfile, ProfileNotes)>, _> = match cur.alive_fp {
-            Some(afp) => {
-                let key = SessionCache::profile_key(
-                    afp,
-                    &self.query,
-                    &proj.projection,
-                    self.config.grid_n,
-                    self.config.bandwidth_scale,
-                    self.config.bandwidth_mode,
-                );
-                self.cache
-                    .profile
-                    .get_or_try_insert_with(key, build_profile)
-            }
+        let built = match replayed.and_then(|view| view.profile) {
+            Some(profile) => Ok(profile),
             None => build_profile().map(Arc::new),
         };
+        // A resumed engine starts mid-major with no record of the views
+        // before its snapshot: it records nothing until the next major.
+        if cur.views.len() == minor {
+            cur.views.push(MajorView {
+                proj: proj_pair.clone(),
+                profile: built.as_ref().ok().cloned(),
+            });
+        }
         let profile_pair = match built {
             Ok(p) => p,
             Err(e) => {
@@ -1125,10 +1052,14 @@ impl SessionEngine {
         });
         cur.major_rec.overlap_with_previous = overlap;
 
-        // Fig. 2: drop points never picked this iteration.
+        // Fig. 2: drop points never picked this iteration. A major that
+        // drops none hands its views to the next one to replay.
         let survivors = cur.counts.survivors(&self.alive);
-        if survivors.len() >= 2 {
+        if survivors.len() >= 2 && survivors != self.alive {
             self.alive = survivors;
+            self.replay = Vec::new();
+        } else {
+            self.replay = cur.views;
         }
         cur.major_rec.n_points_after = self.alive.len();
         self.transcript.majors.push(cur.major_rec);
@@ -1208,9 +1139,9 @@ fn validate_inputs(n: usize, d: usize, query: &[f64]) -> Result<(), HinnError> {
 
 /// Fingerprint of the loop-relevant configuration knobs — the ones that
 /// change what a session computes, used to guard snapshot resume. Thread
-/// budget, cache policy, and deadline are deliberately excluded: results
-/// are invariant to all three, so a session may be resumed under a
-/// different budget, cache, or remaining time allowance.
+/// budget and deadline are deliberately excluded: results are invariant to
+/// both, so a session may be resumed under a different budget or remaining
+/// time allowance.
 fn config_fingerprint(config: &SearchConfig) -> Fingerprint {
     let mut h = Fnv128::new();
     h.write_usize(config.support);
@@ -1695,13 +1626,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_engine_is_static_and_send() {
+    fn engine_is_static_and_send() {
         fn assert_send<T: Send>(_: &T) {}
         let (pts, q) = planted();
-        let cache = Arc::new(SessionCache::new(hinn_cache::CachePolicy::default()));
         let (engine, step) =
-            SessionEngine::start_at_shared(config(), handle(&pts).snapshot(), &q, cache)
-                .expect("start");
+            SessionEngine::start_at(config(), handle(&pts).snapshot(), &q).expect("start");
         assert_send(&engine);
         // Move the suspended engine to another thread and finish there.
         let worker = std::thread::spawn(move || {

@@ -30,7 +30,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod batch;
-pub mod cache;
 pub mod candidates;
 pub mod config;
 pub mod counts;
@@ -47,7 +46,6 @@ pub mod snapshot;
 pub mod transcript;
 
 pub use batch::{BatchRunner, QueryReport};
-pub use cache::SessionCache;
 pub use candidates::CandidateSource;
 pub use config::{BandwidthMode, ProjectionMode, SearchConfig};
 pub use degrade::{DegradationEvent, DegradationKind, DegradationLog};
@@ -55,7 +53,6 @@ pub use diagnosis::SearchDiagnosis;
 pub use engine::{SessionEngine, Step, ViewRequest};
 pub use error::HinnError;
 pub use explain::{explain_neighbor, explanation_text, NeighborExplanation};
-pub use hinn_cache::CachePolicy;
 pub use hinn_data::{DatasetHandle, EpochError, EpochSnapshot};
 pub use hinn_par::Parallelism;
 pub use search::{InteractiveSearch, RunOptions, RunOutput, SearchOutcome};

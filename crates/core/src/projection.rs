@@ -3,9 +3,9 @@
 //! [`find_query_centered_projection`] iteratively refines a subspace `E_p`
 //! starting from the current subspace `E_c`: in each round the `s` points
 //! nearest to the query *inside* `E_p` form the tentative query cluster
-//! `N_p`, and [`query_cluster_subspace`] shrinks `E_p` to the directions in
-//! which `N_p` is tightest relative to the whole data (smallest variance
-//! ratio `λᵢ/γᵢ`). The dimensionality halves each round until a 2-D
+//! `N_p`, and [`query_cluster_subspace_mode`] shrinks `E_p` to the
+//! directions in which `N_p` is tightest relative to the whole data
+//! (smallest variance ratio `λᵢ/γᵢ`). The dimensionality halves each round until a 2-D
 //! projection remains. The gradual halving matters: `N_p` and `E_p` depend
 //! on each other, and the refinement lets each sharpen the other (§2.1).
 //!
@@ -16,14 +16,12 @@
 //! candidates, and directions with zero *data* variance are dropped
 //! rather than ranked against a floored denominator.
 
-use crate::cache::{ProjectionCacheCtx, SessionCache};
 use crate::config::ProjectionMode;
 use crate::degrade::{DegradationEvent, DegradationKind};
 use crate::error::HinnError;
 use hinn_linalg::stats::variances_along_cols_with;
-use hinn_linalg::{covariance_matrix, try_jacobi_eigen, Matrix, Parallelism, Subspace};
+use hinn_linalg::{try_jacobi_eigen, Parallelism, Subspace};
 use hinn_par::{fill_chunks, map_reduce_chunks};
-use std::sync::Arc;
 
 /// Result of one projection search: the 2-D projection to show the user and
 /// the complementary subspace that the remaining minor iterations must use.
@@ -76,6 +74,8 @@ pub(crate) fn chunk_of<'a>(cols: &[&'a [f64]], start: usize, len: usize) -> Vec<
 /// place.
 fn project_columns(par: Parallelism, points: &[&[f64]], n: usize, sub: &Subspace) -> Vec<f64> {
     let l = sub.dim();
+    #[cfg(test)]
+    tests::tally(tests::Work::Project, l, l);
     let mut out = vec![0.0; l * n];
     map_reduce_chunks(
         par,
@@ -108,22 +108,9 @@ fn project_columns(par: Parallelism, points: &[&[f64]], n: usize, sub: &Subspace
 /// `current` (which, when the search starts from the full space, are the
 /// original attributes). Returns the new subspace in ambient coordinates
 /// together with the chosen directions' variance ratios.
-pub fn query_cluster_subspace(
-    current: &Subspace,
-    cluster_coords: &[Vec<f64>],
-    data_coords: &[Vec<f64>],
-    l: usize,
-) -> (Subspace, Vec<f64>) {
-    query_cluster_subspace_mode(
-        current,
-        cluster_coords,
-        data_coords,
-        l,
-        ProjectionMode::Arbitrary,
-    )
-}
-
-/// [`query_cluster_subspace`] with an explicit projection mode.
+///
+/// # Panics
+/// Panics on invalid input (`l` out of range, empty point sets).
 pub fn query_cluster_subspace_mode(
     current: &Subspace,
     cluster_coords: &[Vec<f64>],
@@ -131,40 +118,17 @@ pub fn query_cluster_subspace_mode(
     l: usize,
     mode: ProjectionMode,
 ) -> (Subspace, Vec<f64>) {
-    query_cluster_subspace_mode_with(
+    let m = current.dim();
+    let data = gather_columns(m, data_coords.iter().map(|r| r.as_slice()));
+    match try_query_cluster_subspace_cols(
         Parallelism::serial(),
         current,
         cluster_coords,
-        data_coords,
+        &column_views(&data, data_coords.len(), m),
         l,
         mode,
-    )
-}
-
-/// [`query_cluster_subspace_mode`] with an explicit thread budget for the
-/// covariance and variance scans. Bit-identical to the serial path for
-/// every budget.
-///
-/// # Panics
-/// Panics on invalid input; [`try_query_cluster_subspace_mode_with`] is
-/// the non-panicking form.
-pub fn query_cluster_subspace_mode_with(
-    par: Parallelism,
-    current: &Subspace,
-    cluster_coords: &[Vec<f64>],
-    data_coords: &[Vec<f64>],
-    l: usize,
-    mode: ProjectionMode,
-) -> (Subspace, Vec<f64>) {
-    let mut events = Vec::new();
-    match try_query_cluster_subspace_mode_with(
-        par,
-        current,
-        cluster_coords,
-        data_coords,
-        l,
-        mode,
-        &mut events,
+        &mut Vec::new(),
+        None,
     ) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
@@ -182,94 +146,38 @@ fn axis_candidates(
     m: usize,
 ) -> Vec<(Vec<f64>, f64)> {
     let var = hinn_linalg::stats::coordinate_variances_with(par, cluster_coords);
+    unit_axes(m).into_iter().zip(var).collect()
+}
+
+/// The data variance `γ` along each of `dirs` (in the coordinates of
+/// `data`'s subspace), in one batched scan. Each direction's value is the
+/// same bits however the directions are batched.
+fn data_gammas(par: Parallelism, data: &[&[f64]], dirs: &[&[f64]]) -> Vec<f64> {
+    if dirs.is_empty() {
+        return Vec::new();
+    }
+    #[cfg(test)]
+    tests::tally(tests::Work::Gamma, data.len(), dirs.len());
+    variances_along_cols_with(par, data, dirs)
+}
+
+/// The `m` coordinate axes of an `m`-dimensional subspace, in order.
+fn unit_axes(m: usize) -> Vec<Vec<f64>> {
     (0..m)
         .map(|i| {
             let mut e = vec![0.0; m];
             e[i] = 1.0;
-            (e, var[i])
+            e
         })
         .collect()
 }
 
-/// Fallible [`query_cluster_subspace_mode_with`]: invalid input comes back
-/// as [`HinnError::InvalidInput`], and every ladder rung taken while
-/// assembling the candidate pool is appended to `events` (unstamped — the
-/// caller knows which view it is building).
-#[allow(clippy::too_many_arguments)]
-pub fn try_query_cluster_subspace_mode_with(
-    par: Parallelism,
-    current: &Subspace,
-    cluster_coords: &[Vec<f64>],
-    data_coords: &[Vec<f64>],
-    l: usize,
-    mode: ProjectionMode,
-    events: &mut Vec<DegradationEvent>,
-) -> Result<(Subspace, Vec<f64>), HinnError> {
-    let m = current.dim();
-    let data = gather_columns(m, data_coords.iter().map(|r| r.as_slice()));
-    try_query_cluster_subspace_cols(
-        par,
-        current,
-        cluster_coords,
-        &column_views(&data, data_coords.len(), m),
-        l,
-        mode,
-        events,
-        None,
-    )
-}
-
-/// The data variance `γ` along every candidate direction (in `current`
-/// coordinates), in candidate order.
-///
-/// Without a cache context all directions are scored in one batched scan.
-/// With one, each `γ` is memoized under its (alive set, subspace,
-/// direction) key, and the probes must stay exactly those of scoring one
-/// direction at a time — same `cache.hit`/`miss`/`evict` counts, same
-/// eviction order. So the cache is first *peeked* (no counter, no recency
-/// bump) to find the directions that will miss, those are scored in one
-/// batch, and then the real probes replay in candidate order. A peeked
-/// entry that an earlier replayed insert evicts misses on replay and is
-/// scored on its own; the value is the same bits either way.
-fn data_gammas(
-    par: Parallelism,
-    current: &Subspace,
-    data: &[&[f64]],
-    dirs: &[&[f64]],
-    ctx: Option<&ProjectionCacheCtx<'_>>,
-) -> Vec<f64> {
-    let c = match ctx {
-        Some(c) => c,
-        None => return variances_along_cols_with(par, data, dirs),
-    };
-    let keys = SessionCache::gamma_keys(c.alive_fp, current, dirs);
-    let missing: Vec<usize> = (0..dirs.len())
-        .filter(|&k| c.cache.gamma.peek(keys[k]).is_none())
-        .collect();
-    let mut batch: Vec<Option<f64>> = vec![None; dirs.len()];
-    if !missing.is_empty() {
-        let missing_dirs: Vec<&[f64]> = missing.iter().map(|&k| dirs[k]).collect();
-        let scored = variances_along_cols_with(par, data, &missing_dirs);
-        for (&k, gamma) in missing.iter().zip(scored) {
-            batch[k] = Some(gamma);
-        }
-    }
-    keys.iter()
-        .zip(dirs)
-        .zip(batch)
-        .map(|((&key, dir), scored)| {
-            *c.cache.gamma.get_or_insert_with(key, || {
-                scored.unwrap_or_else(|| variances_along_cols_with(par, data, &[dir])[0])
-            })
-        })
-        .collect()
-}
-
-/// [`try_query_cluster_subspace_mode_with`] over the data as columns, with
-/// an optional session-cache context: the data variance `γ` along each
-/// candidate direction — a pure function of (alive set, subspace,
-/// direction) — is memoized across the pipeline's support restarts and
-/// across repeated sessions.
+/// Fig. 4 over the data as columns (in `current` coordinates). Every
+/// candidate pool ends with the `m` axes of `current`; `axis_gammas`, when
+/// given, is their data variance, scored once by the caller (see
+/// [`FirstRound`]), and only the other candidates are scanned. Ladder
+/// rungs are appended to `events` unstamped — the caller knows which view
+/// it is building.
 #[allow(clippy::too_many_arguments)]
 fn try_query_cluster_subspace_cols(
     par: Parallelism,
@@ -279,7 +187,7 @@ fn try_query_cluster_subspace_cols(
     l: usize,
     mode: ProjectionMode,
     events: &mut Vec<DegradationEvent>,
-    ctx: Option<&ProjectionCacheCtx<'_>>,
+    axis_gammas: Option<&[f64]>,
 ) -> Result<(Subspace, Vec<f64>), HinnError> {
     let _span = hinn_obs::span!("projection.subspace");
     let m = current.dim();
@@ -391,7 +299,14 @@ fn try_query_cluster_subspace_cols(
     // recorded (ladder rung: DroppedZeroVariance). The 1e-12 threshold
     // matches the floor the ranking historically applied.
     let dirs: Vec<&[f64]> = candidates.iter().map(|(d, _)| d.as_slice()).collect();
-    let gammas = data_gammas(par, current, data, &dirs, ctx);
+    let gammas = match axis_gammas {
+        Some(axes) => {
+            let mut gammas = data_gammas(par, data, &dirs[..dirs.len() - axes.len()]);
+            gammas.extend_from_slice(axes);
+            gammas
+        }
+        None => data_gammas(par, data, &dirs),
+    };
     let mut scored: Vec<(f64, usize)> = Vec::with_capacity(candidates.len());
     let mut dropped = 0usize;
     for (i, ((_, lambda), gamma)) in candidates.iter().zip(gammas).enumerate() {
@@ -435,6 +350,8 @@ fn try_query_cluster_subspace_cols(
 ///
 /// `points` are the ambient-coordinate data (current data set `D_c`) and
 /// `query` the ambient query point; `support` is the neighborhood size `s`.
+/// The rows are gathered into columns once, then
+/// [`try_find_query_centered_projection_cols`] runs on one thread.
 ///
 /// # Panics
 /// Panics if `current.dim() < 2` or `points` is empty.
@@ -445,69 +362,37 @@ pub fn find_query_centered_projection(
     support: usize,
     mode: ProjectionMode,
 ) -> ProjectionResult {
-    find_query_centered_projection_with(
-        Parallelism::serial(),
-        points,
-        query,
-        current,
-        support,
-        mode,
-    )
-}
-
-/// [`find_query_centered_projection`] with an explicit thread budget for
-/// the per-round projection, distance, covariance, and variance scans.
-/// Bit-identical to the serial path for every budget.
-///
-/// # Panics
-/// Panics if `current.dim() < 2` or `points` is empty;
-/// [`try_find_query_centered_projection_with`] is the non-panicking form.
-pub fn find_query_centered_projection_with(
-    par: Parallelism,
-    points: &[Vec<f64>],
-    query: &[f64],
-    current: &Subspace,
-    support: usize,
-    mode: ProjectionMode,
-) -> ProjectionResult {
-    match try_find_query_centered_projection_with(par, points, query, current, support, mode) {
-        Ok((result, _events)) => result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`find_query_centered_projection_with`]: returns the
-/// projection together with every degradation event the winning pipeline
-/// run recorded (only the kept support candidate's events are reported —
-/// a discarded restart's hiccups never influenced the answer). The rows
-/// are gathered into columns once, then [`try_find_query_centered_projection_cols`]
-/// runs.
-pub fn try_find_query_centered_projection_with(
-    par: Parallelism,
-    points: &[Vec<f64>],
-    query: &[f64],
-    current: &Subspace,
-    support: usize,
-    mode: ProjectionMode,
-) -> Result<(ProjectionResult, Vec<DegradationEvent>), HinnError> {
     let d = current.ambient_dim();
     let cols = gather_columns(d, points.iter().map(|r| r.as_slice()));
-    try_find_query_centered_projection_cols(
-        par,
+    match try_find_query_centered_projection_cols(
+        Parallelism::serial(),
         &column_views(&cols, points.len(), d),
         query,
         current,
         support,
         mode,
-        None,
-    )
+    ) {
+        Ok((result, _events)) => result,
+        Err(e) => panic!("{e}"),
+    }
 }
 
-/// [`try_find_query_centered_projection_with`] over points stored as
-/// columns (`points[j][i]` = ambient coordinate `j` of point `i`), with an
-/// optional session-cache context for the per-subspace coordinate and
-/// `γ`-variance memoization (see [`crate::SessionCache`]). `ctx = None` is
-/// the compute-always path; results are bit-identical either way.
+/// The first halving round's support-independent inputs, computed once and
+/// shared by every support restart: the data's coordinates inside the
+/// search subspace `E_c` (column-major) and its variance `γ` along each
+/// axis of `E_c`.
+struct FirstRound {
+    coords: Vec<f64>,
+    axis_gammas: Vec<f64>,
+}
+
+/// Fig. 3 over points stored as columns (`points[j][i]` = ambient
+/// coordinate `j` of point `i`), with an explicit thread budget for the
+/// per-round projection, distance, covariance, and variance scans
+/// (bit-identical for every budget). Returns the projection together with
+/// every degradation event the winning pipeline run recorded (only the
+/// kept support candidate's events are reported — a discarded restart's
+/// hiccups never influenced the answer).
 ///
 /// # Panics
 /// Panics when a halving round runs (`current.dim() > 2`) and
@@ -520,7 +405,6 @@ pub fn try_find_query_centered_projection_cols(
     current: &Subspace,
     support: usize,
     mode: ProjectionMode,
-    ctx: Option<&ProjectionCacheCtx<'_>>,
 ) -> Result<(ProjectionResult, Vec<DegradationEvent>), HinnError> {
     let _span = hinn_obs::span!("projection.find");
     if current.dim() < 2 {
@@ -550,10 +434,31 @@ pub fn try_find_query_centered_projection_cols(
     candidates.sort_unstable();
     candidates.dedup();
 
+    // Every restart's first round searches `current` itself.
+    let m = current.dim();
+    let first = (m > 2).then(|| {
+        let coords = project_columns(par, points, n, current);
+        let axes = unit_axes(m);
+        let axis_refs: Vec<&[f64]> = axes.iter().map(|e| e.as_slice()).collect();
+        let axis_gammas = data_gammas(par, &column_views(&coords, n, m), &axis_refs);
+        FirstRound {
+            coords,
+            axis_gammas,
+        }
+    });
+
     let mut best: Option<(f64, ProjectionResult, Vec<DegradationEvent>)> = None;
     for s in candidates {
-        let (result, events) =
-            try_find_projection_with_support(par, points, n, query, current, s, mode, ctx)?;
+        let (result, events) = try_find_projection_with_support(
+            par,
+            points,
+            n,
+            query,
+            current,
+            first.as_ref(),
+            s,
+            mode,
+        )?;
         let score = if result.variance_ratios.is_empty() {
             f64::INFINITY
         } else {
@@ -574,7 +479,8 @@ pub fn try_find_query_centered_projection_cols(
     }
 }
 
-/// One run of the Fig. 3 halving pipeline at a fixed support.
+/// One run of the Fig. 3 halving pipeline at a fixed support; its first
+/// round reads `first` (present whenever a round runs).
 #[allow(clippy::too_many_arguments)] // internal; mirrors the pipeline input
 fn try_find_projection_with_support(
     par: Parallelism,
@@ -582,9 +488,9 @@ fn try_find_projection_with_support(
     n: usize,
     query: &[f64],
     current: &Subspace,
+    mut first: Option<&FirstRound>,
     support: usize,
     mode: ProjectionMode,
-    ctx: Option<&ProjectionCacheCtx<'_>>,
 ) -> Result<(ProjectionResult, Vec<DegradationEvent>), HinnError> {
     let mut events = Vec::new();
     let mut ep = current.clone();
@@ -593,18 +499,16 @@ fn try_find_projection_with_support(
     while lp > 2 {
         let next_l = (lp / 2).max(2);
         // Column-major coordinates of the data inside the current E_p.
-        // Memoized per (alive set, subspace): the three support restarts
-        // share one round-1 projection, and warm sessions skip it.
-        let coords: Arc<Vec<f64>> = match ctx {
-            Some(c) => c
-                .cache
-                .coords
-                .get_or_insert_with(SessionCache::coords_key(c.alive_fp, &ep), || {
-                    project_columns(par, points, n, &ep)
-                }),
-            None => Arc::new(project_columns(par, points, n, &ep)),
+        let round = first.take();
+        let projected;
+        let coords = match round {
+            Some(f) => &f.coords,
+            None => {
+                projected = project_columns(par, points, n, &ep);
+                &projected
+            }
         };
-        let coord_cols = column_views(&coords, n, lp);
+        let coord_cols = column_views(coords, n, lp);
         let q_coords = ep.project(query);
         // The s nearest points to the query within E_p (the tentative
         // query cluster N_p).
@@ -647,7 +551,7 @@ fn try_find_projection_with_support(
             next_l,
             mode,
             &mut events,
-            ctx,
+            round.map(|f| f.axis_gammas.as_slice()),
         )?;
         // Numerical degeneracies can shrink the basis; bail out with what
         // we have rather than loop forever.
@@ -672,15 +576,55 @@ fn try_find_projection_with_support(
     ))
 }
 
-/// Convenience for tests and diagnostics: the `l × l` covariance of points
-/// in a subspace's coordinates.
-pub fn subspace_covariance(points: &[Vec<f64>], subspace: &Subspace) -> Matrix {
-    covariance_matrix(&subspace.project_all(points))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// A whole-data scan the search ran: a projection into a subspace, or
+    /// a batch of data-variance (`γ`) directions.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) enum Work {
+        Project,
+        Gamma,
+    }
+
+    thread_local! {
+        static TALLY: RefCell<Vec<(Work, usize, usize)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Record one scan on this thread: its kind, the dimension of the
+    /// subspace it ran in, and how many directions it covered.
+    pub(super) fn tally(work: Work, dim: usize, dirs: usize) {
+        TALLY.with(|t| t.borrow_mut().push((work, dim, dirs)));
+    }
+
+    /// The scans `run` made on this thread, in order.
+    fn counted<T>(run: impl FnOnce() -> T) -> (T, Vec<(Work, usize, usize)>) {
+        TALLY.with(|t| t.borrow_mut().clear());
+        let out = run();
+        (out, TALLY.with(|t| t.take()))
+    }
+
+    /// The column-layout search on one thread, with its events.
+    fn try_search(
+        pts: &[Vec<f64>],
+        q: &[f64],
+        current: &Subspace,
+        support: usize,
+        mode: ProjectionMode,
+    ) -> Result<(ProjectionResult, Vec<DegradationEvent>), HinnError> {
+        let d = current.ambient_dim();
+        let cols = gather_columns(d, pts.iter().map(|r| r.as_slice()));
+        try_find_query_centered_projection_cols(
+            Parallelism::serial(),
+            &column_views(&cols, pts.len(), d),
+            q,
+            current,
+            support,
+            mode,
+        )
+    }
 
     /// 6-D data: 50 cluster points tight in dims (0,1), uniform elsewhere;
     /// 250 uniform background points. Query at the cluster center.
@@ -811,7 +755,13 @@ mod tests {
     #[should_panic(expected = "l out of range")]
     fn l_too_large_panics() {
         let full = Subspace::full(2);
-        query_cluster_subspace(&full, &[vec![0.0, 0.0]], &[vec![0.0, 0.0]], 3);
+        query_cluster_subspace_mode(
+            &full,
+            &[vec![0.0, 0.0]],
+            &[vec![0.0, 0.0]],
+            3,
+            ProjectionMode::Arbitrary,
+        );
     }
 
     #[test]
@@ -820,15 +770,7 @@ mod tests {
         let full = Subspace::full(6);
         for mode in [ProjectionMode::Arbitrary, ProjectionMode::AxisParallel] {
             let plain = find_query_centered_projection(&pts, &q, &full, 50, mode);
-            let (tried, events) = try_find_query_centered_projection_with(
-                Parallelism::serial(),
-                &pts,
-                &q,
-                &full,
-                50,
-                mode,
-            )
-            .expect("healthy data");
+            let (tried, events) = try_search(&pts, &q, &full, 50, mode).expect("healthy data");
             assert!(
                 events.is_empty(),
                 "healthy data must not degrade: {events:?}"
@@ -853,8 +795,7 @@ mod tests {
     #[test]
     fn try_variant_reports_invalid_input() {
         let line = Subspace::from_vectors(3, &[vec![1.0, 0.0, 0.0]]);
-        let err = try_find_query_centered_projection_with(
-            Parallelism::serial(),
+        let err = try_search(
             &[vec![0.0; 3]],
             &[0.0; 3],
             &line,
@@ -866,15 +807,8 @@ mod tests {
         assert!(err.to_string().contains("≥2-D search subspace"));
 
         let full = Subspace::full(3);
-        let err = try_find_query_centered_projection_with(
-            Parallelism::serial(),
-            &[],
-            &[0.0; 3],
-            &full,
-            8,
-            ProjectionMode::Arbitrary,
-        )
-        .expect_err("empty data");
+        let err = try_search(&[], &[0.0; 3], &full, 8, ProjectionMode::Arbitrary)
+            .expect_err("empty data");
         assert!(err.to_string().contains("empty data"));
     }
 
@@ -891,15 +825,8 @@ mod tests {
         );
         let (faulted, events) = {
             let _g = hinn_fault::install_local(plan.clone());
-            try_find_query_centered_projection_with(
-                Parallelism::serial(),
-                &pts,
-                &q,
-                &full,
-                50,
-                ProjectionMode::Arbitrary,
-            )
-            .expect("fallback keeps the search alive")
+            try_search(&pts, &q, &full, 50, ProjectionMode::Arbitrary)
+                .expect("fallback keeps the search alive")
         };
         assert!(plan.fired("eigen.converge") > 0);
         assert!(
@@ -935,15 +862,8 @@ mod tests {
         );
         let (faulted, events) = {
             let _g = hinn_fault::install_local(plan.clone());
-            try_find_query_centered_projection_with(
-                Parallelism::serial(),
-                &pts,
-                &q,
-                &full,
-                50,
-                ProjectionMode::Arbitrary,
-            )
-            .expect("axis pool keeps the search alive")
+            try_search(&pts, &q, &full, 50, ProjectionMode::Arbitrary)
+                .expect("axis pool keeps the search alive")
         };
         assert!(plan.fired("covariance.degenerate") > 0);
         assert!(events
@@ -980,15 +900,17 @@ mod tests {
             .collect();
         let cluster: Vec<Vec<f64>> = data[..10].to_vec();
         let full = Subspace::full(3);
+        let data_cols = gather_columns(3, data.iter().map(|r| r.as_slice()));
         let mut events = Vec::new();
-        let (sub, _ratios) = try_query_cluster_subspace_mode_with(
+        let (sub, _ratios) = try_query_cluster_subspace_cols(
             Parallelism::serial(),
             &full,
             &cluster,
-            &data,
+            &column_views(&data_cols, data.len(), 3),
             2,
             ProjectionMode::AxisParallel,
             &mut events,
+            None,
         )
         .expect("two informative axes remain");
         assert_eq!(sub.dim(), 2);
@@ -999,5 +921,37 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.kind == DegradationKind::DroppedZeroVariance));
+    }
+
+    #[test]
+    fn support_restarts_share_the_first_round() {
+        // 6-D search space: rounds 6 → 3 → 2, so each restart runs two.
+        let (pts, q) = planted();
+        let full = Subspace::full(6);
+        // Supports giving 3, 2 and 1 distinct restarts over 300 points.
+        for (support, restarts) in [(20, 3), (150, 2), (300, 1)] {
+            for mode in [ProjectionMode::Arbitrary, ProjectionMode::AxisParallel] {
+                let label = format!("support {support}, {mode:?}");
+                let (result, work) = counted(|| try_search(&pts, &q, &full, support, mode));
+                result.expect("healthy data");
+                let count = |w: Work, dim: usize, dirs: usize| {
+                    work.iter().filter(|&&x| x == (w, dim, dirs)).count()
+                };
+                // Round 1: one projection into E_c and one γ scan of its
+                // 6 axes, however many restarts ran.
+                assert_eq!(count(Work::Project, 6, 6), 1, "{label}: {work:?}");
+                assert_eq!(count(Work::Gamma, 6, 6), 1, "{label}: {work:?}");
+                // The only other round-1 scans are the per-restart PCA
+                // candidates (2 × 6 directions, Arbitrary mode only).
+                for &(w, dim, dirs) in &work {
+                    if w == Work::Gamma && dim == 6 && dirs != 6 {
+                        assert_eq!(dirs, 12, "{label}: {work:?}");
+                        assert_eq!(mode, ProjectionMode::Arbitrary, "{label}");
+                    }
+                }
+                // Round 2 is each restart's own.
+                assert_eq!(count(Work::Project, 3, 3), restarts, "{label}: {work:?}");
+            }
+        }
     }
 }

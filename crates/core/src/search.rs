@@ -5,7 +5,6 @@
 //! run-to-completion API: [`InteractiveSearch::run_with`] drives the
 //! engine against a [`UserModel`] callback.
 
-use crate::cache::SessionCache;
 use crate::config::SearchConfig;
 use crate::degrade::DegradationLog;
 use crate::diagnosis::SearchDiagnosis;
@@ -23,7 +22,6 @@ use std::time::Duration;
 pub struct InteractiveSearch {
     config: SearchConfig,
     drop_config: DropConfig,
-    cache: Arc<SessionCache>,
 }
 
 /// Everything a completed session produced.
@@ -159,11 +157,9 @@ impl InteractiveSearch {
     /// Fallible [`InteractiveSearch::new`].
     pub fn try_new(config: SearchConfig) -> Result<Self, HinnError> {
         config.try_validate()?;
-        let cache = Arc::new(SessionCache::new(config.cache));
         Ok(Self {
             config,
             drop_config: DropConfig::default(),
-            cache,
         })
     }
 
@@ -171,20 +167,6 @@ impl InteractiveSearch {
     pub fn with_drop_config(mut self, drop_config: DropConfig) -> Self {
         self.drop_config = drop_config;
         self
-    }
-
-    /// Replace the engine's session cache with a shared one (its policy
-    /// supersedes [`SearchConfig::cache`]). [`crate::BatchRunner`] uses
-    /// this to amortize artifacts across every session of a batch; tests
-    /// use it to pre-warm an engine.
-    pub fn with_session_cache(mut self, cache: Arc<SessionCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// The engine's session cache.
-    pub fn session_cache(&self) -> &Arc<SessionCache> {
-        &self.cache
     }
 
     /// Run the full interactive session of Fig. 2 against `user`.
@@ -234,13 +216,8 @@ impl InteractiveSearch {
         let mut responses = options.record_responses.then(Vec::new);
         let outcome = {
             let _guard = recorder.clone().map(|r| hinn_obs::install(r));
-            let (mut engine, mut step) = SessionEngine::start_inner(
-                config,
-                self.drop_config,
-                self.cache.clone(),
-                snap,
-                query,
-            )?;
+            let (mut engine, mut step) =
+                SessionEngine::start_inner(config, self.drop_config, snap, query)?;
             loop {
                 match step {
                     Step::Done(outcome) => break *outcome,
@@ -269,8 +246,8 @@ impl InteractiveSearch {
         })
     }
 
-    /// Start a suspendable session over `data`'s current epoch, sharing
-    /// this engine's cache and drop configuration — the
+    /// Start a suspendable session over `data`'s current epoch with this
+    /// engine's configuration and drop configuration — the
     /// inverted-control-flow form of [`run_with`](Self::run_with) (see
     /// [`SessionEngine`]).
     pub fn start_session(
@@ -288,13 +265,7 @@ impl InteractiveSearch {
         snap: Arc<EpochSnapshot>,
         query: &[f64],
     ) -> Result<(SessionEngine, Step), HinnError> {
-        SessionEngine::start_inner(
-            self.config.clone(),
-            self.drop_config,
-            self.cache.clone(),
-            snap,
-            query,
-        )
+        SessionEngine::start_inner(self.config.clone(), self.drop_config, snap, query)
     }
 }
 

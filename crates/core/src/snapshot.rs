@@ -16,8 +16,8 @@
 //! - the data set (the caller re-supplies it; a content fingerprint guards
 //!   against resuming over the wrong one),
 //! - the configuration (re-supplied too, guarded by a fingerprint of the
-//!   loop-relevant knobs; thread budget, cache policy, and deadline may
-//!   legitimately differ across suspend and resume),
+//!   loop-relevant knobs; thread budget and deadline may legitimately
+//!   differ across suspend and resume),
 //! - the pending view (recomputed on resume — it is a pure function of
 //!   serialized state, so the transcript comes out identical),
 //! - recorded profiles (`SearchConfig::record_profiles` sessions refuse to

@@ -4,21 +4,17 @@
 //! Point counts straddle `hinn_par::CHUNK` (1024) and `SERIAL_CUTOFF`
 //! (4096), so chunk tails and the parallel schedule both run; search
 //! subspaces range from 2-D (no halving round) to 20-D (three rounds);
-//! both projection modes, thread budgets 1 and 4, and the session caches
-//! disabled, at their defaults and at capacity 2 (evicting) are all
-//! compared. The data carries exact duplicate points, so the support
-//! scan's index tie-break decides membership of the query cluster.
+//! both projection modes and thread budgets 1 and 4 are compared. The
+//! data carries exact duplicate points, so the support scan's index
+//! tie-break decides membership of the query cluster.
 
 mod reference;
 
-use hinn_cache::{CachePolicy, Fingerprint, LruCache};
-use hinn_core::cache::ProjectionCacheCtx;
 use hinn_core::degrade::DegradationEvent;
 use hinn_core::projection::{try_find_query_centered_projection_cols, ProjectionResult};
-use hinn_core::{ProjectionMode, SessionCache};
+use hinn_core::ProjectionMode;
 use hinn_linalg::{Parallelism, Subspace};
 use proptest::prelude::*;
-use reference::RowCaches;
 
 const COUNTS: [usize; 5] = [1023, 1024, 1025, 4095, 4097];
 const DIMS: [usize; 4] = [2, 3, 5, 20];
@@ -124,52 +120,16 @@ fn assert_same(
 }
 
 /// Run both searches on one input under one configuration.
-fn compare(
-    c: &Case,
-    support: usize,
-    mode: ProjectionMode,
-    par: Parallelism,
-    policy: Option<CachePolicy>,
-    label: &str,
-) {
+fn compare(c: &Case, support: usize, mode: ProjectionMode, par: Parallelism, label: &str) {
     let cols = columns(&c.rows);
     let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-    let alive_fp = Fingerprint(0xA11CE);
-    let session = policy.map(SessionCache::new);
-    let row_coords = LruCache::new(policy.map_or(0, |p| p.coords_capacity));
-    let row_gamma = LruCache::new(policy.map_or(0, |p| p.gamma_capacity));
-    // Two passes, so the second one meets whatever the first left warm.
-    for pass in 0..2 {
-        let ctx = session
-            .as_ref()
-            .map(|cache| ProjectionCacheCtx { alive_fp, cache });
-        let got = try_find_query_centered_projection_cols(
-            par,
-            &col_refs,
-            &c.query,
-            &c.current,
-            support,
-            mode,
-            ctx.as_ref(),
-        )
-        .expect("columnar search");
-        let row_caches = session.as_ref().map(|_| RowCaches {
-            alive_fp,
-            coords: &row_coords,
-            gamma: &row_gamma,
-        });
-        let want = reference::find(
-            par,
-            &c.rows,
-            &c.query,
-            &c.current,
-            support,
-            mode,
-            row_caches.as_ref(),
-        )
+    let got = try_find_query_centered_projection_cols(
+        par, &col_refs, &c.query, &c.current, support, mode,
+    )
+    .expect("columnar search");
+    let want = reference::find(par, &c.rows, &c.query, &c.current, support, mode)
         .expect("reference search");
-        assert_same(&got, &want, &format!("{label}, pass {pass}"));
-    }
+    assert_same(&got, &want, label);
 }
 
 proptest! {
@@ -182,18 +142,16 @@ proptest! {
         full in proptest::bool::ANY,
         arbitrary in proptest::bool::ANY,
         threads in prop_oneof![Just(1usize), Just(4usize)],
-        cache in 0..3usize,
         support in prop_oneof![Just(8usize), Just(30usize), Just(90usize)],
         seed in 1..u64::MAX,
     ) {
         let (n, m) = (COUNTS[ni], DIMS[mi]);
         let c = case(n, m, full, seed);
         let mode = if arbitrary { ProjectionMode::Arbitrary } else { ProjectionMode::AxisParallel };
-        let policy = [None, Some(CachePolicy::default()), Some(CachePolicy::with_uniform_capacity(2))][cache];
         let label = format!(
-            "n={n} m={m} full={full} mode={mode:?} threads={threads} cache={policy:?} support={support}"
+            "n={n} m={m} full={full} mode={mode:?} threads={threads} support={support}"
         );
-        compare(&c, support, mode, Parallelism::fixed(threads), policy, &label);
+        compare(&c, support, mode, Parallelism::fixed(threads), &label);
     }
 }
 
@@ -210,7 +168,6 @@ fn every_count_and_dimension_matches_the_reference() {
                     40,
                     mode,
                     Parallelism::serial(),
-                    Some(CachePolicy::with_uniform_capacity(2)),
                     &format!("n={n} m={m} mode={mode:?}"),
                 );
             }

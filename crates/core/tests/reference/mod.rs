@@ -4,28 +4,17 @@
 //! This is the search as it ran over `Vec<Vec<f64>>` rows: every round
 //! projects each point into its own row, the support scan transposes each
 //! chunk back into columns, and every candidate direction's data variance
-//! is a separate pair of row scans, probed through the γ cache one
-//! direction at a time. Each test binary declares `mod reference;` and
-//! compares [`find`] against the columnar entry point.
+//! is a separate pair of row scans, one direction at a time. Each test
+//! binary declares `mod reference;` and compares [`find`] against the
+//! columnar entry point.
 
-use hinn_cache::{Fingerprint, LruCache, PooledF64};
+use hinn_cache::PooledF64;
 use hinn_core::degrade::{DegradationEvent, DegradationKind};
 use hinn_core::projection::ProjectionResult;
-use hinn_core::{HinnError, ProjectionMode, SessionCache};
+use hinn_core::{HinnError, ProjectionMode};
 use hinn_linalg::vector::dot;
 use hinn_linalg::{try_jacobi_eigen, Parallelism, Subspace};
 use hinn_par::{fill_chunks, map_reduce_chunks};
-use std::sync::Arc;
-
-/// Row-layout stand-ins for the session's coordinate and γ caches.
-pub struct RowCaches<'a> {
-    /// Fingerprint of the alive set, as the engine keys it.
-    pub alive_fp: Fingerprint,
-    /// Whole-data coordinates, one row per point.
-    pub coords: &'a LruCache<Vec<Vec<f64>>>,
-    /// Data variance along one candidate direction.
-    pub gamma: &'a LruCache<f64>,
-}
 
 /// The row scan behind the old `stats::variance_along_with`.
 pub fn variance_along_rows(par: Parallelism, points: &[Vec<f64>], direction: &[f64]) -> f64 {
@@ -82,7 +71,6 @@ fn axis_candidates(
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn query_cluster_subspace(
     par: Parallelism,
     current: &Subspace,
@@ -91,7 +79,6 @@ fn query_cluster_subspace(
     l: usize,
     mode: ProjectionMode,
     events: &mut Vec<DegradationEvent>,
-    caches: Option<&RowCaches<'_>>,
 ) -> Result<(Subspace, Vec<f64>), HinnError> {
     let m = current.dim();
     if l < 1 || l > m {
@@ -163,14 +150,7 @@ fn query_cluster_subspace(
     let mut scored: Vec<(f64, usize)> = Vec::with_capacity(candidates.len());
     let mut dropped = 0usize;
     for (i, (dir, lambda)) in candidates.iter().enumerate() {
-        let gamma = match caches {
-            Some(c) => *c
-                .gamma
-                .get_or_insert_with(SessionCache::gamma_key(c.alive_fp, current, dir), || {
-                    variance_along_rows(par, data_coords, dir)
-                }),
-            None => variance_along_rows(par, data_coords, dir),
-        };
+        let gamma = variance_along_rows(par, data_coords, dir);
         if gamma < 1e-12 {
             dropped += 1;
             continue;
@@ -199,7 +179,7 @@ fn query_cluster_subspace(
     Ok((current.sub_subspace(&chosen), ratios))
 }
 
-/// The row-layout `try_find_query_centered_projection_ctx`.
+/// The row-layout `try_find_query_centered_projection_cols`.
 pub fn find(
     par: Parallelism,
     points: &[Vec<f64>],
@@ -207,7 +187,6 @@ pub fn find(
     current: &Subspace,
     support: usize,
     mode: ProjectionMode,
-    caches: Option<&RowCaches<'_>>,
 ) -> Result<(ProjectionResult, Vec<DegradationEvent>), HinnError> {
     if current.dim() < 2 {
         return Err(HinnError::InvalidInput {
@@ -231,7 +210,7 @@ pub fn find(
 
     let mut best: Option<(f64, ProjectionResult, Vec<DegradationEvent>)> = None;
     for s in candidates {
-        let (result, events) = find_with_support(par, points, query, current, s, mode, caches)?;
+        let (result, events) = find_with_support(par, points, query, current, s, mode)?;
         let score = if result.variance_ratios.is_empty() {
             f64::INFINITY
         } else {
@@ -250,7 +229,6 @@ pub fn find(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn find_with_support(
     par: Parallelism,
     points: &[Vec<f64>],
@@ -258,7 +236,6 @@ fn find_with_support(
     current: &Subspace,
     support: usize,
     mode: ProjectionMode,
-    caches: Option<&RowCaches<'_>>,
 ) -> Result<(ProjectionResult, Vec<DegradationEvent>), HinnError> {
     let mut events = Vec::new();
     let mut ep = current.clone();
@@ -266,14 +243,7 @@ fn find_with_support(
     let mut ratios = Vec::new();
     while lp > 2 {
         let next_l = (lp / 2).max(2);
-        let data_coords: Arc<Vec<Vec<f64>>> = match caches {
-            Some(c) => c
-                .coords
-                .get_or_insert_with(SessionCache::coords_key(c.alive_fp, &ep), || {
-                    project_all_rows(par, &ep, points)
-                }),
-            None => Arc::new(project_all_rows(par, &ep, points)),
-        };
+        let data_coords = project_all_rows(par, &ep, points);
         let q_coords = ep.project(query);
         let mut order: Vec<(f64, usize)> = vec![(0.0, 0); data_coords.len()];
         fill_chunks(par, &mut order, |start, slice| {
@@ -310,7 +280,6 @@ fn find_with_support(
             next_l,
             mode,
             &mut events,
-            caches,
         )?;
         if next.dim() < 2 {
             break;

@@ -3,8 +3,8 @@
 use crate::postmortem::{EventRing, Postmortem, SessionEvent};
 use hinn_cache::{Fingerprint, LruCache};
 use hinn_core::{
-    DatasetHandle, DegradationKind, EpochSnapshot, HinnError, SearchConfig, SessionCache,
-    SessionEngine, SessionSnapshot, Step,
+    DatasetHandle, DegradationKind, EpochSnapshot, HinnError, SearchConfig, SessionEngine,
+    SessionSnapshot, Step,
 };
 use hinn_user::UserResponse;
 use std::collections::HashMap;
@@ -312,9 +312,6 @@ pub struct SessionManager {
     /// [`delete`](Self::delete) advance it in place while every open
     /// session keeps computing against the epoch it pinned at open.
     data: DatasetHandle,
-    /// One cache shared by every session: same data set, same pure
-    /// stages, so sessions warm each other exactly like batch queries do.
-    cache: Arc<SessionCache>,
     warm: LruCache<SessionSnapshot>,
     inner: Mutex<Inner>,
     /// Frozen incident records, drained by [`take_postmortems`].
@@ -351,12 +348,10 @@ impl SessionManager {
         if config.max_resident == 0 {
             return Err(invalid("SessionManager: max_resident must be at least 1"));
         }
-        let cache = Arc::new(SessionCache::new(config.search.cache));
         let warm = LruCache::new(config.warm_capacity);
         Ok(Self {
             config,
             data,
-            cache,
             warm,
             inner: Mutex::new(Inner {
                 next_id: 1,
@@ -487,14 +482,9 @@ impl SessionManager {
         if self.config.session_deadline.is_some() {
             search.deadline = self.config.session_deadline;
         }
-        let (engine, step) = SessionEngine::resume_rebased_shared(
-            search,
-            from.clone(),
-            onto.clone(),
-            &snap,
-            self.cache.clone(),
-        )
-        .map_err(ServeError::Engine)?;
+        let (engine, step) =
+            SessionEngine::resume_rebased(search, from.clone(), onto.clone(), &snap)
+                .map_err(ServeError::Engine)?;
         guard.degr_seen = engine.degradations().len();
         guard.engine = engine;
         hinn_obs::counter("session.rebased", 1);
@@ -512,11 +502,6 @@ impl SessionManager {
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// The shared per-data-set cache (useful for pre-warming).
-    pub fn session_cache(&self) -> &Arc<SessionCache> {
-        &self.cache
     }
 
     /// Resident hot engines right now.
@@ -605,8 +590,7 @@ impl SessionManager {
         // this session ever reports is relative to this snapshot, however
         // much the handle moves underneath it.
         let pinned = self.data.snapshot();
-        let (engine, step) =
-            SessionEngine::start_at_shared(search, pinned.clone(), query, self.cache.clone())?;
+        let (engine, step) = SessionEngine::start_at(search, pinned.clone(), query)?;
         // Mirror open-time degradation rungs (StarvedSeed's linear-scan
         // fallback fires during the seed) into the black box before the
         // engine moves into its slot.
@@ -958,7 +942,7 @@ impl SessionManager {
             .cloned()
             .unwrap_or_else(|| self.data.snapshot());
         let timed = hinn_obs::enabled().then(Instant::now);
-        let resumed = SessionEngine::resume_at_shared(search, pinned, &snap, self.cache.clone());
+        let resumed = SessionEngine::resume_at(search, pinned, &snap);
         if let Some(start) = timed {
             hinn_obs::observe("snapshot.restore_ms", start.elapsed().as_secs_f64() * 1e3);
         }

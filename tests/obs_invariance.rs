@@ -19,13 +19,18 @@
 //!
 //! Set `HINN_OBS_EXPORT=/path/to/telemetry.json` to export the traced
 //! session's full JSON report (CI uploads this as a workflow artifact).
+//!
+//! The traced counters also pin what an engine does *not* keep: a second
+//! session on the same engine repeats the first one's work exactly, and
+//! the only reuse inside a session is the replay of a major whose alive
+//! set did not change (counted by its `projection.find` spans).
 
 use hinn::core::{
     CandidateSource, DatasetHandle, InteractiveSearch, Parallelism, SearchConfig, SearchOutcome,
 };
 use hinn::obs::TelemetryReport;
 use hinn::par::SERIAL_CUTOFF;
-use hinn::user::{ScriptedUser, UserResponse};
+use hinn::user::{ScriptedUser, UserModel, UserResponse};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -132,6 +137,49 @@ fn run_traced_with(config: SearchConfig, points: &[Vec<f64>]) -> (SearchOutcome,
     let telemetry = out.telemetry.clone().expect("traced run yields telemetry");
     (out.into_outcome(), telemetry)
 }
+
+/// One traced session on `engine`, answered by `user`.
+fn run_traced_on(
+    engine: &InteractiveSearch,
+    user: &mut dyn UserModel,
+    points: &[Vec<f64>],
+) -> (SearchOutcome, TelemetryReport) {
+    let out = engine
+        .run_with(
+            &DatasetHandle::new(points).expect("dataset"),
+            &points[0],
+            user,
+            hinn::core::RunOptions::traced(),
+        )
+        .expect("interactive session");
+    let telemetry = out.telemetry.clone().expect("traced run yields telemetry");
+    (out.into_outcome(), telemetry)
+}
+
+/// The counters that describe the algorithm's work. The `par.*` counters
+/// describe the scheduler (chunk and worker bookkeeping) and vary with
+/// the thread budget.
+fn algorithmic_counters(r: &TelemetryReport) -> std::collections::BTreeMap<String, u64> {
+    let mut c = r.counters.clone();
+    c.retain(|name, _| !name.starts_with("par."));
+    c
+}
+
+/// Views that must run a projection search: every view of a major, unless
+/// the major before it dropped no point, in which case its views replay.
+fn expected_projection_searches(o: &SearchOutcome) -> u64 {
+    let majors = &o.transcript.majors;
+    (0..majors.len())
+        .filter(|&i| i == 0 || majors[i - 1].n_points_after != majors[i - 1].n_points_before)
+        .map(|i| majors[i].minors.len() as u64)
+        .sum()
+}
+
+fn span_count(report: &TelemetryReport, path: &str) -> u64 {
+    report.find_span(path).map_or(0, |s| s.count)
+}
+
+const FIND_SPAN: &str = "search.session/search.major/search.minor/projection.find";
 
 fn run_plain(par: Parallelism, points: &[Vec<f64>]) -> SearchOutcome {
     run_plain_with(config(par), points)
@@ -366,4 +414,103 @@ fn json_export_carries_schema_version() {
         json.matches('}').count(),
         "unbalanced braces in JSON export"
     );
+}
+
+/// An engine keeps no state between sessions: a second traced session on
+/// the same engine repeats the first one's outcome and work, counter for
+/// counter, and both agree across thread budgets. This is why the
+/// counters of concurrent serving workers do not depend on how the
+/// workers interleave.
+#[test]
+fn repeated_sessions_on_one_engine_count_identically() {
+    let _guard = exclusive();
+    let points = workload();
+    let mut reference: Option<(SearchOutcome, TelemetryReport)> = None;
+    for t in BUDGETS {
+        let engine = InteractiveSearch::new(config(Parallelism::fixed(t)));
+        let (first, first_report) = run_traced_on(&engine, &mut script(), &points);
+        let (second, second_report) = run_traced_on(&engine, &mut script(), &points);
+        assert_outcomes_bit_identical(&first, &second, &format!("{t} threads, second session"));
+        assert_eq!(
+            algorithmic_counters(&first_report),
+            algorithmic_counters(&second_report),
+            "{t} threads: the second session on one engine did different work"
+        );
+        match &reference {
+            None => reference = Some((first, first_report)),
+            Some((want, want_report)) => {
+                assert_outcomes_bit_identical(want, &first, &format!("budgets 1 and {t}"));
+                assert_eq!(
+                    algorithmic_counters(want_report),
+                    algorithmic_counters(&first_report),
+                    "counters differ between budgets 1 and {t}"
+                );
+            }
+        }
+    }
+}
+
+/// A major that drops no point is followed by a major that shows the same
+/// views, and that major replays them: it runs no projection search. Two
+/// users make the first major drop no point: one keeps every point, one
+/// discards every view (fewer than two survivors keep the alive set).
+#[test]
+fn a_major_that_drops_no_point_replays_its_views() {
+    let _guard = exclusive();
+    let points = workload();
+    for (label, response) in [
+        ("keep all", UserResponse::Threshold(0.0)),
+        ("discard all", UserResponse::Discard),
+    ] {
+        for t in BUDGETS {
+            let engine = InteractiveSearch::new(config(Parallelism::fixed(t)));
+            let mut user = ScriptedUser::new([]).with_fallback(response.clone());
+            let (outcome, report) = run_traced_on(&engine, &mut user, &points);
+            let majors = &outcome.transcript.majors;
+            assert!(
+                majors.len() >= 2,
+                "{label}, {t} threads: only one major ran"
+            );
+            assert_eq!(
+                majors[0].n_points_after, majors[0].n_points_before,
+                "{label}, {t} threads: the first major dropped points"
+            );
+            let views = outcome.transcript.iter_minors().count() as u64;
+            let searches = expected_projection_searches(&outcome);
+            assert!(searches < views, "{label}, {t} threads: nothing to replay");
+            assert_eq!(
+                span_count(&report, FIND_SPAN),
+                searches,
+                "{label}, {t} threads: a replayed major searched for its projections again"
+            );
+        }
+    }
+}
+
+/// The other side of the replay rule: after a major that drops points the
+/// alive set has changed, so every view of the next major is searched for
+/// afresh. A density threshold of 1e-4 picks a subset of this cloud, so
+/// the first major drops points.
+#[test]
+fn a_major_that_drops_points_recomputes_its_views() {
+    let _guard = exclusive();
+    let points = workload();
+    for t in BUDGETS {
+        let engine = InteractiveSearch::new(config(Parallelism::fixed(t)));
+        let mut user = ScriptedUser::new([]).with_fallback(UserResponse::Threshold(1e-4));
+        let (outcome, report) = run_traced_on(&engine, &mut user, &points);
+        let majors = &outcome.transcript.majors;
+        assert!(majors.len() >= 2, "{t} threads: only one major ran");
+        assert!(
+            majors[0].n_points_after < majors[0].n_points_before,
+            "{t} threads: the first major dropped no point"
+        );
+        let views = outcome.transcript.iter_minors().count() as u64;
+        assert_eq!(expected_projection_searches(&outcome), views);
+        assert_eq!(
+            span_count(&report, FIND_SPAN),
+            views,
+            "{t} threads: a view after a changed alive set was not searched for"
+        );
+    }
 }

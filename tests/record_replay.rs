@@ -1,10 +1,8 @@
 //! Integration test: a recorded interactive session replays to the exact
 //! same outcome — the audit/regression feature of `hinn::user::recording`.
 //!
-//! Also pins that the session-level memoization caches are transparent to
-//! the audit trail: replaying a recorded session against a **pre-warmed**
-//! cache (the batch-serving topology) yields the same outcome and a
-//! byte-identical re-recorded session file.
+//! Also pins that replaying a recorded session on a fresh engine yields
+//! the same outcome and a byte-identical re-recorded session file.
 
 use hinn::core::{DatasetHandle, InteractiveSearch, ProjectionMode, SearchConfig};
 use hinn::data::projected::{generate_projected_clusters_detailed, ProjectedClusterSpec};
@@ -74,7 +72,7 @@ fn recorded_session_replays_identically() {
 }
 
 #[test]
-fn replay_against_prewarmed_cache_is_byte_stable() {
+fn replay_on_a_fresh_engine_is_byte_stable() {
     let spec = ProjectedClusterSpec {
         n_points: 600,
         dim: 8,
@@ -89,7 +87,7 @@ fn replay_against_prewarmed_cache_is_byte_stable() {
         .with_support(15)
         .with_mode(ProjectionMode::AxisParallel);
 
-    // Record a live session on a cold engine (caching on by default).
+    // Record a live session.
     let engine = InteractiveSearch::new(config.clone());
     let mut recorder = RecordingUser::new(HeuristicUser::default());
     let live = engine
@@ -104,11 +102,11 @@ fn replay_against_prewarmed_cache_is_byte_stable() {
     let (_, log) = recorder.into_parts();
     let text = session_to_string(&log);
 
-    // Replay the recorded session on a *fresh* engine sharing the warmed
-    // cache, re-recording as we go. The cache must neither change the
-    // outcome nor perturb a single byte of the audit trail.
+    // Replay the recorded session on a *fresh* engine, re-recording as we
+    // go. The replay must neither change the outcome nor perturb a single
+    // byte of the audit trail.
     let replay = session_from_string(&text).expect("parse recorded session");
-    let served = InteractiveSearch::new(config).with_session_cache(engine.session_cache().clone());
+    let served = InteractiveSearch::new(config);
     let mut re_recorder = RecordingUser::new(replay);
     let replayed = served
         .run_with(
@@ -132,12 +130,12 @@ fn replay_against_prewarmed_cache_is_byte_stable() {
             .iter()
             .map(|p| p.to_bits())
             .collect::<Vec<_>>(),
-        "probabilities not bit-identical under the warmed cache"
+        "probabilities not bit-identical on replay"
     );
     assert_eq!(replayed.majors_run, live.majors_run);
     assert_eq!(
         session_to_string(&re_log),
         text,
-        "re-recorded session file must be byte-identical under the cache"
+        "re-recorded session file must be byte-identical"
     );
 }

@@ -23,7 +23,17 @@
 use hinn::obs::SessionRecorder;
 use hinn::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Held for the whole of each test. The telemetry recorder is
+/// process-global: while the soak's recorder is installed, every session
+/// in the process emits into its report, so the sessions of a concurrent
+/// test would add to the `session.*` counters the soak asserts.
+static SESSIONS: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    SESSIONS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const TOTAL_SESSIONS: usize = 512;
 const WINDOW: usize = 64;
@@ -74,8 +84,7 @@ fn search_config() -> SearchConfig {
 }
 
 /// Queries cycled across sessions: near-cluster points perturbed per
-/// query index, so the soak exercises distinct-but-related sessions and
-/// the shared cache earns cross-session hits.
+/// query index, so the soak exercises distinct-but-related sessions.
 fn queries(points: &[Vec<f64>]) -> Vec<Vec<f64>> {
     (0..DISTINCT_QUERIES)
         .map(|i| {
@@ -108,6 +117,7 @@ fn outcome_bits(o: &SearchOutcome) -> (Vec<usize>, Vec<u64>, usize) {
 
 #[test]
 fn soak_512_interleaved_sessions_through_a_tiny_hot_tier() {
+    let _sessions = exclusive();
     let recorder = Arc::new(SessionRecorder::new());
     let _guard = hinn::obs::install(recorder.clone());
 
@@ -249,6 +259,7 @@ fn soak_512_interleaved_sessions_through_a_tiny_hot_tier() {
 /// that survive still finish correctly.
 #[test]
 fn warm_overflow_loses_sessions_loudly_not_wrongly() {
+    let _sessions = exclusive();
     let points = Arc::new(planted());
     let qs = queries(&points);
     let config = ServeConfig::new(search_config())

@@ -1,18 +1,23 @@
 //! Suspend/resume equivalence: a session that is snapshotted to text and
-//! restored — at *every* suspension point, onto different thread budgets
-//! and cache policies — finishes with a byte-identical transcript and
-//! outcome to the session that was never interrupted.
+//! restored — at *every* suspension point, onto different thread budgets —
+//! finishes with a byte-identical transcript and outcome to the session
+//! that was never interrupted.
 //!
 //! This is the serving layer's core correctness claim: eviction to the
 //! warm tier and transparent restore are invisible to results. The engine
 //! makes it checkable because the snapshot carries *all* loop state and
 //! the pending view is a pure function of that state.
+//!
+//! It is also the check that a replayed major equals a recomputed one.
+//! An uninterrupted session replays the views of a major that dropped no
+//! point; a resumed engine has no record of earlier views and recomputes
+//! every one of them.
 
 use hinn::core::{
     DatasetHandle, Parallelism, SearchConfig, SearchOutcome, SessionEngine, SessionSnapshot, Step,
 };
 use hinn::par::SERIAL_CUTOFF;
-use hinn::user::{HeuristicUser, UserModel};
+use hinn::user::{HeuristicUser, ScriptedUser, UserModel, UserResponse};
 
 /// Deterministic xorshift point cloud sized so worker threads really
 /// spawn (above `SERIAL_CUTOFF` the parallel paths stop running inline).
@@ -64,9 +69,13 @@ fn transcript_text(o: &SearchOutcome) -> String {
 }
 
 /// Run a session to completion with no interruption.
-fn uninterrupted(data: &DatasetHandle, query: &[f64], par: Parallelism) -> SearchOutcome {
+fn uninterrupted(
+    data: &DatasetHandle,
+    query: &[f64],
+    par: Parallelism,
+    user: &mut dyn UserModel,
+) -> SearchOutcome {
     let (mut engine, mut step) = SessionEngine::start(config(par), data, query).expect("start");
-    let mut user = HeuristicUser::default();
     loop {
         match step {
             Step::Done(outcome) => return *outcome,
@@ -81,29 +90,28 @@ fn uninterrupted(data: &DatasetHandle, query: &[f64], par: Parallelism) -> Searc
 /// Run the same session, but at every suspension point serialize the
 /// engine to text, drop it, and resume from the parsed text under
 /// `resume_par` — exercising snapshot/restore at every view and proving
-/// thread budget and cache policy are resume-time free choices.
+/// the thread budget is a resume-time free choice.
 fn interrupted_at_every_view(
     data: &DatasetHandle,
     query: &[f64],
     start_par: Parallelism,
     resume_par: Parallelism,
+    user: &mut dyn UserModel,
 ) -> (SearchOutcome, usize) {
     let (mut engine, mut step) =
         SessionEngine::start(config(start_par), data, query).expect("start");
-    let mut user = HeuristicUser::default();
     let mut resumes = 0;
     loop {
         match step {
             Step::Done(outcome) => return (*outcome, resumes),
             Step::NeedResponse(req) => {
                 // Suspend: serialize, destroy the engine, round-trip the
-                // text, restore on a different budget with caching off.
+                // text, restore on a different budget.
                 let text = engine.snapshot().expect("snapshot").to_string();
                 drop(engine);
                 let snap = SessionSnapshot::from_text(text).expect("parse snapshot");
                 let restored =
-                    SessionEngine::resume(config(resume_par).without_cache(), data, &snap)
-                        .expect("resume");
+                    SessionEngine::resume(config(resume_par), data, &snap).expect("resume");
                 engine = restored.0;
                 resumes += 1;
                 // The recomputed pending view must be the very view we
@@ -122,12 +130,30 @@ fn interrupted_at_every_view(
     }
 }
 
+/// Does the session contain a major that dropped no point followed by
+/// another major (which then replays the first one's views)?
+fn has_replayed_major(o: &SearchOutcome) -> bool {
+    o.transcript
+        .majors
+        .windows(2)
+        .any(|w| w[0].n_points_after == w[0].n_points_before)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn resume_at_every_view_is_byte_identical_across_budgets() {
     let points = cloud(SERIAL_CUTOFF + 42, 6, 0x5EED);
     let query = points[0].clone();
     let data = DatasetHandle::new(&points).expect("dataset");
-    let reference = uninterrupted(&data, &query, Parallelism::fixed(1));
+    let reference = uninterrupted(
+        &data,
+        &query,
+        Parallelism::fixed(1),
+        &mut HeuristicUser::default(),
+    );
     let want = transcript_text(&reference);
     for (start_t, resume_t) in [(1, 4), (4, 1), (4, 4)] {
         let (outcome, resumes) = interrupted_at_every_view(
@@ -135,6 +161,7 @@ fn resume_at_every_view_is_byte_identical_across_budgets() {
             &query,
             Parallelism::fixed(start_t),
             Parallelism::fixed(resume_t),
+            &mut HeuristicUser::default(),
         );
         assert!(resumes > 0, "the session never suspended");
         assert_eq!(
@@ -143,13 +170,56 @@ fn resume_at_every_view_is_byte_identical_across_budgets() {
             "transcript diverged (start {start_t} threads, resume {resume_t} threads, \
              {resumes} resumes)"
         );
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
             bits(&reference.probabilities),
             bits(&outcome.probabilities),
             "probabilities not bit-identical (start {start_t}, resume {resume_t})"
         );
         assert_eq!(reference.neighbors, outcome.neighbors);
+    }
+}
+
+/// Replay equals recompute. Two users make the first major drop no point:
+/// one keeps every point (the survivors are the alive set), one discards
+/// every view (fewer than two survivors, so the alive set stays). The
+/// uninterrupted session replays the second major; the session resumed at
+/// every view recomputes it. Both must agree bit for bit.
+#[test]
+fn replayed_majors_equal_recomputed_ones() {
+    let points = cloud(SERIAL_CUTOFF + 42, 6, 0x5EED);
+    let query = points[0].clone();
+    let data = DatasetHandle::new(&points).expect("dataset");
+    let users = [
+        ("keep all", UserResponse::Threshold(0.0)),
+        ("discard all", UserResponse::Discard),
+    ];
+    for (label, response) in users {
+        let make_user = || ScriptedUser::new([]).with_fallback(response.clone());
+        for threads in [1, 4] {
+            let par = Parallelism::fixed(threads);
+            let replayed = uninterrupted(&data, &query, par, &mut make_user());
+            assert!(
+                has_replayed_major(&replayed),
+                "{label}, {threads} threads: no major repeats its predecessor's candidates"
+            );
+            let (recomputed, resumes) =
+                interrupted_at_every_view(&data, &query, par, par, &mut make_user());
+            assert!(resumes > 0, "the session never suspended");
+            assert_eq!(
+                transcript_text(&recomputed),
+                transcript_text(&replayed),
+                "{label}, {threads} threads: replayed views differ from recomputed ones"
+            );
+            assert_eq!(
+                bits(&recomputed.probabilities),
+                bits(&replayed.probabilities)
+            );
+            assert_eq!(
+                format!("{:?}", recomputed.transcript.degradations.events),
+                format!("{:?}", replayed.transcript.degradations.events),
+                "{label}, {threads} threads: degradation logs differ"
+            );
+        }
     }
 }
 
