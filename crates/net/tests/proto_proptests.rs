@@ -27,13 +27,19 @@ fn tenant_name() -> impl Strategy<Value = String> {
     })
 }
 
-/// Printable-ascii free text.
+/// Printable-ascii free text, often starting with `x-` or with spaces
+/// and often ending in spaces — the shapes a line envelope alters.
 fn printable(max: usize) -> impl Strategy<Value = String> {
-    proptest::collection::vec(0u32..95, 0..max).prop_map(|v| {
-        v.into_iter()
-            .map(|c| (0x20 + c as u8) as char)
-            .collect::<String>()
-    })
+    (
+        0usize..5,
+        proptest::collection::vec(0u32..95, 0..max),
+        0usize..3,
+    )
+        .prop_map(|(prefix, v, suffix)| {
+            let body: String = v.into_iter().map(|c| (0x20 + c as u8) as char).collect();
+            let prefix = ["", "", "x-", " ", "  x-"][prefix];
+            format!("{prefix}{body}{}", " ".repeat(suffix))
+        })
 }
 
 /// `Option<u64>` epochs — the stub proptest has no `option::of`, so a

@@ -32,6 +32,7 @@
 //! user preserves the genuine human-in-the-loop path.
 
 pub mod heuristic;
+pub mod line;
 pub mod noisy;
 pub mod oracle;
 pub mod polygon_user;
