@@ -216,25 +216,6 @@ impl PartialOrd for Scored {
     }
 }
 
-/// Approximate k-NN candidates over the store's f32 mirror (half the
-/// memory traffic, double the SIMD lanes). Rankings can differ from the
-/// exact scan where f32 rounding reorders near-ties, so this belongs on
-/// the candidate-generation side of the f64-exact / f32-approximate
-/// boundary: over-fetch and re-rank with an exact pass. L2 only.
-pub fn knn_candidates_f32(store: &ColumnStore, query: &[f64], k: usize) -> Vec<usize> {
-    let _span = hinn_obs::span!("baselines.knn_scan_f32");
-    hinn_obs::counter("baselines.points_scanned", store.len() as u64);
-    let qf: Vec<f32> = query.iter().map(|&v| v as f32).collect();
-    let mut dists = vec![0.0f32; store.len()];
-    store.dist_sq_scan_f32_into(&qf, 0, &mut dists);
-    let scored = dists
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| (f64::from(d), i))
-        .collect();
-    select_k(scored, k)
-}
-
 /// k-NN under the Euclidean metric *inside a subspace* (`Pdist` of §1.3).
 pub fn knn_indices_in_subspace(
     points: &[Vec<f64>],
@@ -433,18 +414,6 @@ mod tests {
         let store = hinn_data::ColumnStore::from_rows(&pts);
         let nn = knn_indices_cols(&store, &[3.2, 0.0], 3, Metric::L2);
         assert_eq!(nn, vec![3, 2, 5]);
-    }
-
-    #[test]
-    fn f32_candidates_recover_exact_neighbors_on_separated_data() {
-        // Well-separated distances: f32 rounding cannot reorder them, so
-        // the approximate tier agrees with the exact scan here.
-        let pts = cloud(100, 4);
-        let store = hinn_data::ColumnStore::from_rows(&pts);
-        let q = vec![0.25; 4];
-        let exact = knn_indices(&pts, &q, 5, Metric::L2);
-        let approx = knn_candidates_f32(&store, &q, 5);
-        assert_eq!(exact, approx);
     }
 
     #[test]

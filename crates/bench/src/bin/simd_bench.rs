@@ -7,27 +7,29 @@
 //!
 //! 1. **KDE grid accumulation** (`hinn_kde::estimate_grid`): the old
 //!    per-point scalar loop (chunked exactly like the library, so the
-//!    float schedule matches) vs the new blocked `gaussian_prep`/`axpy8`
-//!    path. The outputs are asserted **bit-identical** first — the
-//!    speedup must come for free, not from a numerics change.
+//!    float schedule matches) vs the blocked SIMD path, which runs each
+//!    1 024-point chunk as one backend dispatch. The outputs are asserted
+//!    **bit-identical** first — the speedup must come for free, not from
+//!    a numerics change. Two shapes: `kde_session` is the one every
+//!    session view runs (10 000 points, an 80 × 80 grid, about 5 cells
+//!    of kernel support per axis), `kde` a wide-support 256 × 256 grid.
 //! 2. **Exact kNN scan** (`hinn_baselines`): the row-major
 //!    `knn_indices` scan vs the columnar scans over a
 //!    [`hinn_data::ColumnStore`] — per-query `knn_indices_cols`, and the
 //!    batched `knn_indices_cols_batch` (the headline: one pass over the
 //!    cached columns serves every query, amortizing the memory traffic
 //!    that bounds the single-query scan). Identical neighbor lists
-//!    asserted for both. The opt-in f32 mirror scan is reported as an
-//!    informational extra row (it is *approximate* — candidate
-//!    generation only).
+//!    asserted for both.
 //!
 //! ```sh
 //! cargo run --release -p hinn-bench --bin simd_bench            # full
 //! cargo run --release -p hinn-bench --bin simd_bench -- --smoke # CI
 //! ```
 //!
-//! Output: `BENCH_simd.json` (override with `--out <path>`). In full
-//! mode the binary exits nonzero unless both measured speedups are ≥ 2×
-//! — the PR's acceptance bar.
+//! Output: `BENCH_simd.json` (override with `--out <path>`), stamped with
+//! the git rev, `nproc`, the backend and `HINN_THREADS`. In full mode the
+//! binary exits nonzero unless the wide-support KDE and the batched kNN
+//! speedups are both ≥ 2×.
 
 use hinn_bench::banner;
 use hinn_data::ColumnStore;
@@ -177,20 +179,92 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// The commit this binary was built from, read from the checkout's
+/// `.git` (`"unknown"` outside a git work tree).
+fn git_rev() -> String {
+    let git = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
+    let read = |p: std::path::PathBuf| std::fs::read_to_string(p).ok();
+    let rev = read(git.join("HEAD")).and_then(|head| {
+        let head = head.trim();
+        match head.strip_prefix("ref: ") {
+            None => Some(head.to_string()),
+            Some(name) => read(git.join(name))
+                .map(|r| r.trim().to_string())
+                .or_else(|| {
+                    read(git.join("packed-refs"))?
+                        .lines()
+                        .find_map(|l| l.strip_suffix(name).map(|r| r.trim().to_string()))
+                }),
+        }
+    });
+    rev.unwrap_or_else(|| "unknown".to_string())
+}
+
+/// One KDE shape: the frozen scalar reference and the library on the
+/// same points, asserted bit-identical; returns `(scalar_ms, simd_ms)`.
+fn kde_row(
+    label: &str,
+    pts: &[[f64; 2]],
+    bw: Bandwidth2D,
+    spec: GridSpec,
+    reps: usize,
+) -> (f64, f64) {
+    let (scalar_ms, want) = time_best(reps, || frozen_estimate_grid(pts, bw, spec));
+    let (simd_ms, got) = time_best(reps, || hinn_kde::estimate_grid(pts, bw, spec));
+    for (i, (a, b)) in got.values().iter().zip(&want).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{label} cell {i}: SIMD estimate_grid must be bit-identical to the frozen \
+             scalar reference ({a} vs {b})"
+        );
+    }
+    println!(
+        "{label}: scalar {scalar_ms:.2} ms, simd {simd_ms:.2} ms → {:.2}× (bit-identical)",
+        scalar_ms / simd_ms
+    );
+    (scalar_ms, simd_ms)
+}
+
 fn main() {
     let args = parse_args();
     banner("SIMD kernels vs frozen scalar reference");
     println!("active backend: {}", hinn_linalg::active_backend().name());
 
-    let (kde_n, grid_n, knn_n, knn_d, n_queries, reps) = if args.smoke {
-        (2_000, 64, 5_000, 16, 10, 2)
+    let (kde_n, grid_n, session_n, knn_n, knn_d, n_queries, reps) = if args.smoke {
+        (2_000, 64, 2_000, 5_000, 16, 10, 2)
     } else {
-        (20_000, 256, 100_000, 16, 50, 5)
+        (20_000, 256, 10_000, 100_000, 16, 50, 5)
     };
 
     // ------------------------------------------------------------------
     // 1. KDE grid accumulation.
     // ------------------------------------------------------------------
+    // The session's shape: an 80 × 80 grid and a bandwidth whose 12h
+    // truncated support spans about 5 grid steps per axis.
+    const SESSION_GRID: usize = 80;
+    const SESSION_SUPPORT_CELLS: f64 = 5.0;
+    let session_pts: Vec<[f64; 2]> = gaussian_mixture(session_n, 2, 8, 4.0, 0x51D_0003)
+        .into_iter()
+        .map(|p| [p[0], p[1]])
+        .collect();
+    let session_spec = GridSpec::covering(&session_pts, &[], 0.3, SESSION_GRID);
+    let session_bw = Bandwidth2D {
+        hx: SESSION_SUPPORT_CELLS * session_spec.dx / 12.0,
+        hy: SESSION_SUPPORT_CELLS * session_spec.dy / 12.0,
+    };
+    println!(
+        "kde_session: n={session_n} points, {SESSION_GRID}x{SESSION_GRID} grid, \
+         ~{SESSION_SUPPORT_CELLS} support cells per axis"
+    );
+    let (session_scalar_ms, session_simd_ms) = kde_row(
+        "estimate_grid (session shape)",
+        &session_pts,
+        session_bw,
+        session_spec,
+        reps,
+    );
+
     let pts2: Vec<[f64; 2]> = gaussian_mixture(kde_n, 2, 8, 4.0, 0x51D_0001)
         .into_iter()
         .map(|p| [p[0], p[1]])
@@ -201,22 +275,8 @@ fn main() {
         "kde: n={kde_n} points, {grid_n}x{grid_n} grid, hx={:.3} hy={:.3}",
         bw.hx, bw.hy
     );
-
-    let (scalar_kde_ms, want) = time_best(reps, || frozen_estimate_grid(&pts2, bw, spec));
-    let (simd_kde_ms, got) = time_best(reps, || hinn_kde::estimate_grid(&pts2, bw, spec));
-    for (i, (a, b)) in got.values().iter().zip(&want).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "cell {i}: SIMD estimate_grid must be bit-identical to the frozen scalar \
-             reference ({a} vs {b})"
-        );
-    }
+    let (scalar_kde_ms, simd_kde_ms) = kde_row("estimate_grid (wide)", &pts2, bw, spec, reps);
     let kde_speedup = scalar_kde_ms / simd_kde_ms;
-    println!(
-        "estimate_grid: scalar {scalar_kde_ms:.2} ms, simd {simd_kde_ms:.2} ms → \
-         {kde_speedup:.2}× (bit-identical)"
-    );
 
     // ------------------------------------------------------------------
     // 2. Exact kNN scan, rows vs columns.
@@ -266,36 +326,21 @@ fn main() {
         row_knn_ms / col_knn_ms
     );
 
-    // Informational: the approximate f32 mirror tier.
-    let _ = store.f32_cols(); // materialize outside the timed region
-    let (f32_total_ms, approx) = time_best(reps, || {
-        queries
-            .iter()
-            .map(|q| hinn_baselines::knn_candidates_f32(&store, q, K))
-            .collect::<Vec<_>>()
-    });
-    let f32_knn_ms = f32_total_ms / n_queries as f64;
-    let f32_recall = exact
-        .iter()
-        .zip(&approx)
-        .map(|(e, a)| {
-            let hits = a.iter().filter(|i| e.contains(i)).count();
-            hits as f64 / K as f64
-        })
-        .sum::<f64>()
-        / n_queries as f64;
-    println!(
-        "knn f32 mirror (approximate): {f32_knn_ms:.3} ms/query \
-         ({:.2}× vs rows), recall@{K} {f32_recall:.3}",
-        row_knn_ms / f32_knn_ms
-    );
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"backend\": \"{}\",\n",
+        "  \"mode\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"nproc\": {},\n  \"backend\": \"{}\",\n  \"hinn_threads\": \"{}\",\n",
         if args.smoke { "smoke" } else { "full" },
-        hinn_linalg::active_backend().name()
+        git_rev(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        hinn_linalg::active_backend().name(),
+        std::env::var(hinn_par::THREADS_ENV).unwrap_or_default()
+    ));
+    json.push_str(&format!(
+        "  \"kde_session\": {{\"n_points\": {session_n}, \"grid\": {SESSION_GRID}, \"support_cells\": {SESSION_SUPPORT_CELLS}, \"scalar_ms\": {}, \"simd_ms\": {}, \"speedup\": {}, \"bit_identical\": true}},\n",
+        json_f64(session_scalar_ms),
+        json_f64(session_simd_ms),
+        json_f64(session_scalar_ms / session_simd_ms)
     ));
     json.push_str(&format!(
         "  \"kde\": {{\"n_points\": {kde_n}, \"grid\": {grid_n}, \"scalar_ms\": {}, \"simd_ms\": {}, \"speedup\": {}, \"bit_identical\": true}},\n",
@@ -304,18 +349,12 @@ fn main() {
         json_f64(kde_speedup)
     ));
     json.push_str(&format!(
-        "  \"knn\": {{\"n_points\": {knn_n}, \"dim\": {knn_d}, \"n_queries\": {n_queries}, \"k\": {K}, \"rows_ms_per_query\": {}, \"cols_ms_per_query\": {}, \"cols_batch_ms_per_query\": {}, \"speedup\": {}, \"identical_results\": true, \"transpose_ms\": {}}},\n",
+        "  \"knn\": {{\"n_points\": {knn_n}, \"dim\": {knn_d}, \"n_queries\": {n_queries}, \"k\": {K}, \"rows_ms_per_query\": {}, \"cols_ms_per_query\": {}, \"cols_batch_ms_per_query\": {}, \"speedup\": {}, \"identical_results\": true, \"transpose_ms\": {}}}\n",
         json_f64(row_knn_ms),
         json_f64(col_knn_ms),
         json_f64(batch_knn_ms),
         json_f64(knn_speedup),
         json_f64(transpose_ms)
-    ));
-    json.push_str(&format!(
-        "  \"knn_f32_approximate\": {{\"ms_per_query\": {}, \"speedup_vs_rows\": {}, \"recall_at_k\": {}}}\n",
-        json_f64(f32_knn_ms),
-        json_f64(row_knn_ms / f32_knn_ms),
-        json_f64(f32_recall)
     ));
     json.push_str("}\n");
     std::fs::write(&args.out, &json).expect("write benchmark JSON");

@@ -75,7 +75,7 @@ pub(crate) fn chunk_of<'a>(cols: &[&'a [f64]], start: usize, len: usize) -> Vec<
 fn project_columns(par: Parallelism, points: &[&[f64]], n: usize, sub: &Subspace) -> Vec<f64> {
     let l = sub.dim();
     #[cfg(test)]
-    tests::tally(tests::Work::Project, l, l);
+    tests::tally(tests::Work::Project { dim: l });
     let mut out = vec![0.0; l * n];
     map_reduce_chunks(
         par,
@@ -110,7 +110,8 @@ fn project_columns(par: Parallelism, points: &[&[f64]], n: usize, sub: &Subspace
 /// together with the chosen directions' variance ratios.
 ///
 /// # Panics
-/// Panics on invalid input (`l` out of range, empty point sets).
+/// Panics on invalid input (`l` out of range, empty point sets, a
+/// non-finite data coordinate).
 pub fn query_cluster_subspace_mode(
     current: &Subspace,
     cluster_coords: &[Vec<f64>],
@@ -120,16 +121,19 @@ pub fn query_cluster_subspace_mode(
 ) -> (Subspace, Vec<f64>) {
     let m = current.dim();
     let data = gather_columns(m, data_coords.iter().map(|r| r.as_slice()));
-    match try_query_cluster_subspace_cols(
-        Parallelism::serial(),
-        current,
-        cluster_coords,
-        &column_views(&data, data_coords.len(), m),
-        l,
-        mode,
-        &mut Vec::new(),
-        None,
-    ) {
+    let data = column_views(&data, data_coords.len(), m);
+    match check_finite("projection.subspace", &data).and_then(|()| {
+        try_query_cluster_subspace_cols(
+            Parallelism::serial(),
+            current,
+            cluster_coords,
+            &data,
+            l,
+            mode,
+            &mut Vec::new(),
+            None,
+        )
+    }) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }
@@ -149,16 +153,40 @@ fn axis_candidates(
     unit_axes(m).into_iter().zip(var).collect()
 }
 
-/// The data variance `γ` along each of `dirs` (in the coordinates of
-/// `data`'s subspace), in one batched scan. Each direction's value is the
-/// same bits however the directions are batched.
-fn data_gammas(par: Parallelism, data: &[&[f64]], dirs: &[&[f64]]) -> Vec<f64> {
-    if dirs.is_empty() {
+/// The data variance `γ` along each of `dirs`, then along each of the
+/// first `axes` coordinate axes (in the coordinates of `data`'s subspace),
+/// in one batched scan: only `dirs` are projected, and an axis is read
+/// from its column. Each direction's value is the same bits however the
+/// directions are batched.
+fn data_gammas(par: Parallelism, data: &[&[f64]], dirs: &[&[f64]], axes: usize) -> Vec<f64> {
+    if dirs.is_empty() && axes == 0 {
         return Vec::new();
     }
     #[cfg(test)]
-    tests::tally(tests::Work::Gamma, data.len(), dirs.len());
-    variances_along_cols_with(par, data, dirs)
+    tests::tally(tests::Work::Gamma {
+        dim: data.len(),
+        projected: dirs.len(),
+        axes,
+    });
+    let axes: Vec<usize> = (0..axes).collect();
+    variances_along_cols_with(par, data, dirs, &axes)
+}
+
+/// Refuse data with a non-finite coordinate: an axis `γ` reads its column
+/// where a projection would turn `∞·0` into NaN, so such data has no
+/// well-defined search.
+fn check_finite(phase: &'static str, cols: &[&[f64]]) -> Result<(), HinnError> {
+    let finite = cols
+        .iter()
+        .all(|c| c.iter().fold(true, |ok, v| ok & v.is_finite()));
+    if finite {
+        Ok(())
+    } else {
+        Err(HinnError::InvalidInput {
+            phase,
+            message: "projection search: data contains non-finite coordinates".into(),
+        })
+    }
 }
 
 /// The `m` coordinate axes of an `m`-dimensional subspace, in order.
@@ -173,11 +201,11 @@ fn unit_axes(m: usize) -> Vec<Vec<f64>> {
 }
 
 /// Fig. 4 over the data as columns (in `current` coordinates). Every
-/// candidate pool ends with the `m` axes of `current`; `axis_gammas`, when
-/// given, is their data variance, scored once by the caller (see
-/// [`FirstRound`]), and only the other candidates are scanned. Ladder
-/// rungs are appended to `events` unstamped — the caller knows which view
-/// it is building.
+/// candidate pool ends with the `m` axes of `current`, whose data variance
+/// is read from the data's columns; `axis_gammas`, when given, is that
+/// variance, scored once by the caller (see [`FirstRound`]), and only the
+/// other candidates are scanned. Ladder rungs are appended to `events`
+/// unstamped — the caller knows which view it is building.
 #[allow(clippy::too_many_arguments)]
 fn try_query_cluster_subspace_cols(
     par: Parallelism,
@@ -256,6 +284,7 @@ fn try_query_cluster_subspace_cols(
                                 par,
                                 &column_views(&score_buf, score.len(), m),
                                 &dir_refs,
+                                &[],
                             );
                             pool.extend(dirs.into_iter().zip(held_out));
                         }
@@ -298,14 +327,17 @@ fn try_query_cluster_subspace_cols(
     // noise against a floored denominator — so it is dropped and the drop
     // recorded (ladder rung: DroppedZeroVariance). The 1e-12 threshold
     // matches the floor the ranking historically applied.
-    let dirs: Vec<&[f64]> = candidates.iter().map(|(d, _)| d.as_slice()).collect();
+    let dirs: Vec<&[f64]> = candidates[..candidates.len() - m]
+        .iter()
+        .map(|(d, _)| d.as_slice())
+        .collect();
     let gammas = match axis_gammas {
         Some(axes) => {
-            let mut gammas = data_gammas(par, data, &dirs[..dirs.len() - axes.len()]);
+            let mut gammas = data_gammas(par, data, &dirs, 0);
             gammas.extend_from_slice(axes);
             gammas
         }
-        None => data_gammas(par, data, &dirs),
+        None => data_gammas(par, data, &dirs, m),
     };
     let mut scored: Vec<(f64, usize)> = Vec::with_capacity(candidates.len());
     let mut dropped = 0usize;
@@ -354,7 +386,8 @@ fn try_query_cluster_subspace_cols(
 /// [`try_find_query_centered_projection_cols`] runs on one thread.
 ///
 /// # Panics
-/// Panics if `current.dim() < 2` or `points` is empty.
+/// Panics if `current.dim() < 2`, `points` is empty, or a coordinate is
+/// non-finite.
 pub fn find_query_centered_projection(
     points: &[Vec<f64>],
     query: &[f64],
@@ -364,14 +397,17 @@ pub fn find_query_centered_projection(
 ) -> ProjectionResult {
     let d = current.ambient_dim();
     let cols = gather_columns(d, points.iter().map(|r| r.as_slice()));
-    match try_find_query_centered_projection_cols(
-        Parallelism::serial(),
-        &column_views(&cols, points.len(), d),
-        query,
-        current,
-        support,
-        mode,
-    ) {
+    let cols = column_views(&cols, points.len(), d);
+    match check_finite("projection.find", &cols).and_then(|()| {
+        try_find_query_centered_projection_cols(
+            Parallelism::serial(),
+            &cols,
+            query,
+            current,
+            support,
+            mode,
+        )
+    }) {
         Ok((result, _events)) => result,
         Err(e) => panic!("{e}"),
     }
@@ -392,7 +428,11 @@ struct FirstRound {
 /// (bit-identical for every budget). Returns the projection together with
 /// every degradation event the winning pipeline run recorded (only the
 /// kept support candidate's events are reported — a discarded restart's
-/// hiccups never influenced the answer).
+/// hiccups never influenced the answer). The data must be finite, as
+/// `hinn_data::DatasetHandle` guarantees: an axis `γ` is read from its
+/// column, where a projection would have made a non-finite coordinate
+/// elsewhere in the row NaN (`∞·0`). The slice entry
+/// [`find_query_centered_projection`] refuses non-finite data.
 ///
 /// # Panics
 /// Panics when a halving round runs (`current.dim() > 2`) and
@@ -438,9 +478,7 @@ pub fn try_find_query_centered_projection_cols(
     let m = current.dim();
     let first = (m > 2).then(|| {
         let coords = project_columns(par, points, n, current);
-        let axes = unit_axes(m);
-        let axis_refs: Vec<&[f64]> = axes.iter().map(|e| e.as_slice()).collect();
-        let axis_gammas = data_gammas(par, &column_views(&coords, n, m), &axis_refs);
+        let axis_gammas = data_gammas(par, &column_views(&coords, n, m), &[], m);
         FirstRound {
             coords,
             axis_gammas,
@@ -581,26 +619,33 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
 
-    /// A whole-data scan the search ran: a projection into a subspace, or
-    /// a batch of data-variance (`γ`) directions.
+    /// A whole-data scan the search ran: a projection into a subspace of
+    /// dimension `dim`, or one batched data-variance (`γ`) scan in such a
+    /// subspace that projected `projected` directions and read `axes`
+    /// axes from their columns.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub(super) enum Work {
-        Project,
-        Gamma,
+        Project {
+            dim: usize,
+        },
+        Gamma {
+            dim: usize,
+            projected: usize,
+            axes: usize,
+        },
     }
 
     thread_local! {
-        static TALLY: RefCell<Vec<(Work, usize, usize)>> = const { RefCell::new(Vec::new()) };
+        static TALLY: RefCell<Vec<Work>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Record one scan on this thread: its kind, the dimension of the
-    /// subspace it ran in, and how many directions it covered.
-    pub(super) fn tally(work: Work, dim: usize, dirs: usize) {
-        TALLY.with(|t| t.borrow_mut().push((work, dim, dirs)));
+    /// Record one scan on this thread.
+    pub(super) fn tally(work: Work) {
+        TALLY.with(|t| t.borrow_mut().push(work));
     }
 
     /// The scans `run` made on this thread, in order.
-    fn counted<T>(run: impl FnOnce() -> T) -> (T, Vec<(Work, usize, usize)>) {
+    fn counted<T>(run: impl FnOnce() -> T) -> (T, Vec<Work>) {
         TALLY.with(|t| t.borrow_mut().clear());
         let out = run();
         (out, TALLY.with(|t| t.take()))
@@ -934,24 +979,119 @@ mod tests {
                 let label = format!("support {support}, {mode:?}");
                 let (result, work) = counted(|| try_search(&pts, &q, &full, support, mode));
                 result.expect("healthy data");
-                let count = |w: Work, dim: usize, dirs: usize| {
-                    work.iter().filter(|&&x| x == (w, dim, dirs)).count()
-                };
+                let count = |w: Work| work.iter().filter(|&&x| x == w).count();
                 // Round 1: one projection into E_c and one γ scan of its
-                // 6 axes, however many restarts ran.
-                assert_eq!(count(Work::Project, 6, 6), 1, "{label}: {work:?}");
-                assert_eq!(count(Work::Gamma, 6, 6), 1, "{label}: {work:?}");
+                // 6 axes, read from their columns, however many restarts
+                // ran.
+                assert_eq!(count(Work::Project { dim: 6 }), 1, "{label}: {work:?}");
+                let axes_only = Work::Gamma {
+                    dim: 6,
+                    projected: 0,
+                    axes: 6,
+                };
+                assert_eq!(count(axes_only), 1, "{label}: {work:?}");
                 // The only other round-1 scans are the per-restart PCA
-                // candidates (2 × 6 directions, Arbitrary mode only).
-                for &(w, dim, dirs) in &work {
-                    if w == Work::Gamma && dim == 6 && dirs != 6 {
-                        assert_eq!(dirs, 12, "{label}: {work:?}");
-                        assert_eq!(mode, ProjectionMode::Arbitrary, "{label}");
+                // candidates (2 × 6 directions, Arbitrary mode only),
+                // which never repeat the axes.
+                for &w in &work {
+                    if let Work::Gamma { dim: 6, .. } = w {
+                        if w != axes_only {
+                            let pca = Work::Gamma {
+                                dim: 6,
+                                projected: 12,
+                                axes: 0,
+                            };
+                            assert_eq!(w, pca, "{label}: {work:?}");
+                            assert_eq!(mode, ProjectionMode::Arbitrary, "{label}");
+                        }
                     }
                 }
                 // Round 2 is each restart's own.
-                assert_eq!(count(Work::Project, 3, 3), restarts, "{label}: {work:?}");
+                assert_eq!(
+                    count(Work::Project { dim: 3 }),
+                    restarts,
+                    "{label}: {work:?}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn gamma_projects_only_non_axis_candidates() {
+        let (pts, q) = planted();
+        let full = Subspace::full(6);
+        for mode in [ProjectionMode::Arbitrary, ProjectionMode::AxisParallel] {
+            for support in [20, 150] {
+                let label = format!("support {support}, {mode:?}");
+                let (result, work) = counted(|| try_search(&pts, &q, &full, support, mode));
+                result.expect("healthy data");
+                let gammas: Vec<(usize, usize, usize)> = work
+                    .iter()
+                    .filter_map(|w| match *w {
+                        Work::Gamma {
+                            dim,
+                            projected,
+                            axes,
+                        } => Some((dim, projected, axes)),
+                        Work::Project { .. } => None,
+                    })
+                    .collect();
+                assert!(!gammas.is_empty(), "{label}");
+                for &(dim, projected, axes) in &gammas {
+                    // Every pool ends with the `dim` axes: a scan reads all
+                    // of them from columns, or none (round 1, whose axes
+                    // were scored once up front).
+                    assert!(axes == dim || axes == 0, "{label}: {gammas:?}");
+                    // It projects only the PCA candidates: 2·dim of them
+                    // when the pool has them, and none in axis mode.
+                    match mode {
+                        ProjectionMode::AxisParallel => assert_eq!(projected, 0, "{label}"),
+                        ProjectionMode::Arbitrary => {
+                            assert!(
+                                projected == 0 || projected == 2 * dim,
+                                "{label}: {gammas:?}"
+                            )
+                        }
+                    }
+                    assert!(projected + axes > 0, "{label}: empty scan");
+                }
+                // Axis mode projects no candidate at all; the arbitrary
+                // pool projects some.
+                let projected: usize = gammas.iter().map(|g| g.1).sum();
+                assert_eq!(
+                    projected == 0,
+                    mode == ProjectionMode::AxisParallel,
+                    "{label}: {gammas:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn non_finite_data_is_refused_by_the_slice_search() {
+        let (mut pts, q) = planted();
+        pts[7][3] = f64::INFINITY;
+        find_query_centered_projection(
+            &pts,
+            &q,
+            &Subspace::full(6),
+            50,
+            ProjectionMode::AxisParallel,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn non_finite_data_is_refused_by_the_slice_subspace_step() {
+        let cluster = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
+        let data = vec![vec![0.0, 1.0], vec![f64::NAN, 0.0], vec![2.0, 2.0]];
+        query_cluster_subspace_mode(
+            &Subspace::full(2),
+            &cluster,
+            &data,
+            1,
+            ProjectionMode::AxisParallel,
+        );
     }
 }

@@ -10,46 +10,20 @@
 //! order. Result: bit-identical distances at several points per
 //! instruction.
 //!
-//! # The f64-exact / f32-approximate boundary
-//!
 //! The store is f64, and everything computed from [`ColumnStore::col`] /
 //! [`ColumnStore::dist_scan_into`] is bit-identical to the row-major
 //! scalar code — safe for any exact path (kNN baselines, session
-//! transcripts, goldens). The **opt-in** f32 mirror
-//! ([`ColumnStore::f32_cols`], built lazily on first use) halves memory
-//! traffic and doubles lane count for *approximate* phases only —
-//! candidate generation in the spirit of the HNSW tier, where a
-//! downstream exact pass re-ranks. Nothing routes through f32 unless a
-//! caller asks for the mirror explicitly.
+//! transcripts, goldens).
 
 use hinn_linalg::simd;
-use std::sync::OnceLock;
 
 /// A point set stored one contiguous column per dimension.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ColumnStore {
     n: usize,
     dim: usize,
     /// Column `j` occupies `flat[j*n .. (j+1)*n]`.
     flat: Vec<f64>,
-    /// Lazily built f32 mirror, same layout. `OnceLock` so shared
-    /// (`Arc`) stores can materialize it without a `&mut`.
-    mirror: OnceLock<Vec<f32>>,
-}
-
-impl Clone for ColumnStore {
-    fn clone(&self) -> Self {
-        let mirror = OnceLock::new();
-        if let Some(m) = self.mirror.get() {
-            let _ = mirror.set(m.clone());
-        }
-        Self {
-            n: self.n,
-            dim: self.dim,
-            flat: self.flat.clone(),
-            mirror,
-        }
-    }
 }
 
 impl ColumnStore {
@@ -69,12 +43,7 @@ impl ColumnStore {
                 flat[j * n + i] = v;
             }
         }
-        Self {
-            n,
-            dim,
-            flat,
-            mirror: OnceLock::new(),
-        }
+        Self { n, dim, flat }
     }
 
     /// Number of points `N`.
@@ -124,31 +93,6 @@ impl ColumnStore {
         let cols = self.range_cols(start, out.len());
         simd::dist_sq_cols(&cols, query, out);
         simd::sqrt_inplace(out);
-    }
-
-    /// The f32 mirror's columns, built on first use (the opt-in
-    /// approximate tier; see the module docs for the boundary).
-    pub fn f32_cols(&self) -> Vec<&[f32]> {
-        let m = self
-            .mirror
-            .get_or_init(|| self.flat.iter().map(|&v| v as f32).collect());
-        (0..self.dim)
-            .map(|j| &m[j * self.n..(j + 1) * self.n])
-            .collect()
-    }
-
-    /// Approximate squared-distance scan over the f32 mirror for points
-    /// `start..start+out.len()`. Deterministic, but **not** bit-comparable
-    /// with the f64 path — candidate generation only.
-    ///
-    /// # Panics
-    /// Panics if `query.len() != self.dim()` or the range overruns `N`.
-    pub fn dist_sq_scan_f32_into(&self, query: &[f32], start: usize, out: &mut [f32]) {
-        let all = self.f32_cols();
-        let end = start + out.len();
-        assert!(end <= self.n, "dist_sq_scan_f32_into: range overruns N");
-        let cols: Vec<&[f32]> = all.iter().map(|c| &c[start..end]).collect();
-        hinn_linalg::simd::dist_sq_cols_f32(&cols, query, out);
     }
 
     /// Column stripes covering points `start..start+len`.
@@ -214,31 +158,6 @@ mod tests {
         for k in 0..10 {
             assert_eq!(part[k].to_bits(), out[13 + k].to_bits());
         }
-    }
-
-    #[test]
-    fn f32_mirror_is_close_but_separate() {
-        let r = rows();
-        let s = ColumnStore::from_rows(&r);
-        let qf: Vec<f32> = r[3].iter().map(|&v| v as f32).collect();
-        let mut out = vec![0.0f32; s.len()];
-        s.dist_sq_scan_f32_into(&qf, 0, &mut out);
-        for (i, row) in r.iter().enumerate() {
-            let exact = hinn_linalg::vector::dist_sq(row, &r[3]);
-            assert!(
-                (f64::from(out[i]) - exact).abs() <= 1e-3 * (1.0 + exact),
-                "point {i}: {} vs {exact}",
-                out[i]
-            );
-        }
-    }
-
-    #[test]
-    fn clone_preserves_materialized_mirror() {
-        let s = ColumnStore::from_rows(&rows());
-        let _ = s.f32_cols();
-        let c = s.clone();
-        assert_eq!(c.f32_cols()[0], s.f32_cols()[0]);
     }
 
     #[test]

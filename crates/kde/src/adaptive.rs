@@ -22,7 +22,7 @@
 use crate::estimate::{count_nonfinite, fill_kernel_column, support_range};
 use crate::grid::{DensityGrid, GridSpec};
 use crate::kernel::Bandwidth2D;
-use hinn_linalg::simd;
+use hinn_linalg::simd::{self, Backend, Isa, Kernel};
 use hinn_par::{fill_chunks, map_reduce_chunks, Parallelism};
 
 /// Per-point bandwidth factors `λᵢ` from a pilot estimate.
@@ -126,6 +126,18 @@ pub fn estimate_grid_adaptive_with(
     bw: &AdaptiveBandwidths,
     spec: GridSpec,
 ) -> DensityGrid {
+    estimate_grid_adaptive_on(simd::active_backend(), par, points, bw, spec)
+}
+
+/// [`estimate_grid_adaptive_with`] on an explicit backend (equivalence
+/// tests).
+pub(crate) fn estimate_grid_adaptive_on(
+    b: Backend,
+    par: Parallelism,
+    points: &[[f64; 2]],
+    bw: &AdaptiveBandwidths,
+    spec: GridSpec,
+) -> DensityGrid {
     let _span = hinn_obs::span!("kde.estimate_grid_adaptive");
     assert_eq!(
         points.len(),
@@ -156,7 +168,17 @@ pub fn estimate_grid_adaptive_with(
     let mut values = map_reduce_chunks(
         par,
         points.len(),
-        |r| accumulate_adaptive_chunk(&points[r.clone()], &bw.factors[r], bw.base, spec),
+        |r| {
+            simd::run_kernel(
+                b,
+                AdaptiveChunk {
+                    points: &points[r.clone()],
+                    factors: &bw.factors[r],
+                    base: bw.base,
+                    spec,
+                },
+            )
+        },
         vec![0.0; n * n],
         |mut acc, part| {
             for (a, b) in acc.iter_mut().zip(part.iter()) {
@@ -171,42 +193,55 @@ pub fn estimate_grid_adaptive_with(
     DensityGrid::new(spec, values)
 }
 
-/// Un-normalized adaptive kernel-sum grid of one chunk of points. Partial
-/// grid and kernel scratch come from the thread-local pool, zeroed.
+/// Un-normalized adaptive kernel-sum grid of one chunk of points, run as
+/// one [`Kernel`]. Partial grid and kernel scratch come from the
+/// thread-local pool, zeroed.
 ///
 /// Per-point bandwidths defeat the fixed estimator's 8-point blocking
 /// (supports vary wildly between neighbors), so each point flushes
 /// individually — but the kernel columns go through the same vectorized
-/// [`fill_kernel_column`] and the row updates through
-/// [`simd::axpy_inplace`], both bit-identical to the scalar loops they
-/// replaced. Non-finite points are skipped ([`support_range`] returns the
-/// empty range for them; they're counted by the caller).
-fn accumulate_adaptive_chunk(
-    points: &[[f64; 2]],
-    factors: &[f64],
+/// [`fill_kernel_column`] and the row updates through [`Isa::axpy`], both
+/// bit-identical to the scalar loops they replaced. Non-finite points are
+/// skipped ([`support_range`] returns the empty range for them; they're
+/// counted by the caller).
+struct AdaptiveChunk<'a> {
+    points: &'a [[f64; 2]],
+    factors: &'a [f64],
     base: Bandwidth2D,
     spec: GridSpec,
-) -> hinn_cache::PooledF64 {
-    let n = spec.n;
-    let mut values = hinn_cache::PooledF64::take_zeroed(n * n);
-    let mut kx = hinn_cache::PooledF64::take_zeroed(n);
-    let mut ky = hinn_cache::PooledF64::take_zeroed(n);
-    for (p, &lambda) in points.iter().zip(factors) {
-        let hx = base.hx * lambda;
-        let hy = base.hy * lambda;
-        let (x_lo, x_hi) = support_range(p[0], hx, spec.x0, spec.dx, n);
-        let (y_lo, y_hi) = support_range(p[1], hy, spec.y0, spec.dy, n);
-        if x_lo > x_hi || y_lo > y_hi {
-            continue;
+}
+
+impl Kernel for AdaptiveChunk<'_> {
+    type Output = hinn_cache::PooledF64;
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) -> hinn_cache::PooledF64 {
+        let AdaptiveChunk {
+            points,
+            factors,
+            base,
+            spec,
+        } = self;
+        let n = spec.n;
+        let mut values = hinn_cache::PooledF64::take_zeroed(n * n);
+        let mut kx = hinn_cache::PooledF64::take_zeroed(n);
+        let mut ky = hinn_cache::PooledF64::take_zeroed(n);
+        for (p, &lambda) in points.iter().zip(factors) {
+            let hx = base.hx * lambda;
+            let hy = base.hy * lambda;
+            let (x_lo, x_hi) = support_range(p[0], hx, spec.x0, spec.dx, n);
+            let (y_lo, y_hi) = support_range(p[1], hy, spec.y0, spec.dy, n);
+            if x_lo > x_hi || y_lo > y_hi {
+                continue;
+            }
+            fill_kernel_column(isa, &mut kx, x_lo, x_hi, spec.x0, spec.dx, p[0], hx);
+            fill_kernel_column(isa, &mut ky, y_lo, y_hi, spec.y0, spec.dy, p[1], hy);
+            let col = &kx[x_lo..=x_hi];
+            for iy in y_lo..=y_hi {
+                isa.axpy(ky[iy], col, &mut values[iy * n + x_lo..iy * n + x_hi + 1]);
+            }
         }
-        fill_kernel_column(&mut kx, x_lo, x_hi, spec.x0, spec.dx, p[0], hx);
-        fill_kernel_column(&mut ky, y_lo, y_hi, spec.y0, spec.dy, p[1], hy);
-        let col = &kx[x_lo..=x_hi];
-        for iy in y_lo..=y_hi {
-            simd::axpy_inplace(ky[iy], col, &mut values[iy * n + x_lo..iy * n + x_hi + 1]);
-        }
+        values
     }
-    values
 }
 
 #[cfg(test)]
@@ -320,6 +355,77 @@ mod tests {
                 b.to_bits(),
                 "grid with a NaN point must equal the finite subset's"
             );
+        }
+    }
+
+    /// The per-point spec loop: each point's own bandwidth, the scalar
+    /// `gaussian_kernel` per cell, one partial grid per fixed chunk of
+    /// points merged in chunk order.
+    fn reference_adaptive_grid(
+        points: &[[f64; 2]],
+        bw: &AdaptiveBandwidths,
+        spec: GridSpec,
+    ) -> Vec<f64> {
+        use crate::kernel::gaussian_kernel;
+        let n = spec.n;
+        let mut values = vec![0.0; n * n];
+        for (chunk, factors) in points
+            .chunks(hinn_par::CHUNK)
+            .zip(bw.factors.chunks(hinn_par::CHUNK))
+        {
+            let mut part = vec![0.0; n * n];
+            for (p, &lambda) in chunk.iter().zip(factors) {
+                let (hx, hy) = (bw.base.hx * lambda, bw.base.hy * lambda);
+                let (x_lo, x_hi) = support_range(p[0], hx, spec.x0, spec.dx, n);
+                let (y_lo, y_hi) = support_range(p[1], hy, spec.y0, spec.dy, n);
+                if x_lo > x_hi || y_lo > y_hi {
+                    continue;
+                }
+                for iy in y_lo..=y_hi {
+                    let kyv = gaussian_kernel(spec.y0 + iy as f64 * spec.dy - p[1], hy);
+                    for ix in x_lo..=x_hi {
+                        let kxv = gaussian_kernel(spec.x0 + ix as f64 * spec.dx - p[0], hx);
+                        part[iy * n + ix] += kxv * kyv;
+                    }
+                }
+            }
+            for (v, c) in values.iter_mut().zip(&part) {
+                *v += c;
+            }
+        }
+        let inv_n = 1.0 / points.len() as f64;
+        for v in &mut values {
+            *v *= inv_n;
+        }
+        values
+    }
+
+    #[test]
+    fn every_backend_reproduces_the_adaptive_spec_at_session_and_wide_shapes() {
+        let pts = crate::estimate::tests::blobs(2_500);
+        let session = GridSpec::covering(&pts, &[], 0.3, 80);
+        let narrow = Bandwidth2D {
+            hx: 5.0 * session.dx / 12.0,
+            hy: 5.0 * session.dy / 12.0,
+        };
+        let wide = GridSpec::covering(&pts, &[], 0.3, 256);
+        for (spec, base) in [(session, narrow), (wide, Bandwidth2D::silverman(&pts))] {
+            let bw = adaptive_bandwidths(&pts, base, 0.5);
+            let want = reference_adaptive_grid(&pts, &bw, spec);
+            for b in simd::Backend::available() {
+                for t in [1usize, 3] {
+                    let g = estimate_grid_adaptive_on(b, Parallelism::fixed(t), &pts, &bw, spec);
+                    for (i, (a, w)) in g.values().iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            w.to_bits(),
+                            "{} threads={t} grid {}: cell {i}",
+                            b.name(),
+                            spec.n
+                        );
+                    }
+                }
+            }
         }
     }
 

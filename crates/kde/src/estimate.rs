@@ -9,14 +9,20 @@
 //!
 //! The accumulation is vectorized through `hinn_linalg::simd` without
 //! changing a single output bit: kernel columns are evaluated with
-//! [`hinn_linalg::simd::gaussian_prep`] (exactly-rounded ops; `exp` stays
-//! scalar libm), and outer products land on the grid through `axpy`
-//! passes. Points are processed in blocks of [`KDE_BLOCK`] so one
-//! read-modify-write pass over a grid row applies eight points'
-//! contributions ([`hinn_linalg::simd::axpy8`]); cells outside a point's
-//! support receive `+0.0`, which leaves a non-negative accumulator
-//! bit-unchanged, so the blocked schedule equals the one-point-at-a-time
-//! spec exactly.
+//! [`Isa::gaussian_prep`] (exactly-rounded ops; `exp` stays scalar libm),
+//! and outer products land on the grid through `axpy` passes. Points are
+//! processed in blocks of [`KDE_BLOCK`] so one read-modify-write pass over
+//! a grid row applies eight points' contributions ([`Isa::axpy8`]); cells
+//! outside a point's support receive `+0.0`, which leaves a non-negative
+//! accumulator bit-unchanged, so the blocked schedule equals the
+//! one-point-at-a-time spec exactly.
+//!
+//! A session's supports are a few cells wide, so a backend dispatch per
+//! elementwise call would cost more than the arithmetic. Each 1 024-point
+//! chunk is therefore one [`simd::Kernel`]: its whole loop — the kernel
+//! column prep, `exp`, the normalising divide and the outer-product rows
+//! — runs inside one `#[target_feature]`-compiled body
+//! ([`simd::run_kernel`]).
 //!
 //! Points with a non-finite coordinate are skipped (and counted via the
 //! `kde.skipped_nonfinite` counter) rather than poisoning the grid; the
@@ -24,14 +30,14 @@
 
 use crate::grid::{DensityGrid, GridSpec};
 use crate::kernel::{gaussian_kernel, Bandwidth2D};
-use hinn_linalg::simd;
+use hinn_linalg::simd::{self, Backend, Isa, Kernel};
 use hinn_par::{map_reduce_chunks, Parallelism};
 
 /// Gaussian kernel support truncation, in bandwidth units. Beyond 6σ the
 /// kernel value is below 6e-9 of the peak — invisible in any profile.
 const TRUNC_SIGMAS: f64 = 6.0;
 
-/// Points per fused grid pass: matches the [`simd::axpy8`] kernel.
+/// Points per fused grid pass: matches [`Isa::axpy8`].
 const KDE_BLOCK: usize = 8;
 
 /// Evaluate the KDE of `points` on every grid point of `spec`.
@@ -49,6 +55,17 @@ pub fn estimate_grid(points: &[[f64; 2]], bw: Bandwidth2D, spec: GridSpec) -> De
 /// drawn from the thread-local [`hinn_cache::pool`], so steady-state
 /// serving does not allocate here.
 pub fn estimate_grid_with(
+    par: Parallelism,
+    points: &[[f64; 2]],
+    bw: Bandwidth2D,
+    spec: GridSpec,
+) -> DensityGrid {
+    estimate_grid_on(simd::active_backend(), par, points, bw, spec)
+}
+
+/// [`estimate_grid_with`] on an explicit backend (equivalence tests).
+pub(crate) fn estimate_grid_on(
+    b: Backend,
     par: Parallelism,
     points: &[[f64; 2]],
     bw: Bandwidth2D,
@@ -78,7 +95,16 @@ pub fn estimate_grid_with(
     let mut values = map_reduce_chunks(
         par,
         points.len(),
-        |r| accumulate_grid_chunk(&points[r], bw, spec),
+        |r| {
+            simd::run_kernel(
+                b,
+                GridChunk {
+                    points: &points[r],
+                    bw,
+                    spec,
+                },
+            )
+        },
         vec![0.0; n * n],
         |mut acc, part| {
             for (a, b) in acc.iter_mut().zip(part.iter()) {
@@ -106,7 +132,10 @@ pub(crate) fn count_nonfinite(points: &[[f64; 2]]) -> usize {
 /// `i ∈ [lo, hi]`, bit-identical to the scalar kernel call per cell: the
 /// exactly-rounded prefix (`−0.5·z²`) and the final normalization divide
 /// are vectorized; `exp` stays a scalar libm call per cell.
-pub(crate) fn fill_kernel_column(
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one grid axis: its range, spacing, center and bandwidth
+pub(crate) fn fill_kernel_column<I: Isa>(
+    isa: I,
     col: &mut [f64],
     lo: usize,
     hi: usize,
@@ -117,11 +146,27 @@ pub(crate) fn fill_kernel_column(
 ) {
     assert!(h > 0.0, "gaussian_kernel: bandwidth must be positive");
     let seg = &mut col[lo..=hi];
-    simd::gaussian_prep(seg, lo, origin, step, center, h);
+    isa.gaussian_prep(seg, lo, origin, step, center, h);
     for v in seg.iter_mut() {
         *v = v.exp();
     }
-    simd::div_inplace(seg, (2.0 * std::f64::consts::PI).sqrt() * h);
+    isa.div_inplace(seg, (2.0 * std::f64::consts::PI).sqrt() * h);
+}
+
+/// One chunk of points for [`accumulate_grid_chunk`], run as one
+/// [`Kernel`].
+struct GridChunk<'a> {
+    points: &'a [[f64; 2]],
+    bw: Bandwidth2D,
+    spec: GridSpec,
+}
+
+impl Kernel for GridChunk<'_> {
+    type Output = hinn_cache::PooledF64;
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) -> hinn_cache::PooledF64 {
+        accumulate_grid_chunk(isa, self.points, self.bw, self.spec)
+    }
 }
 
 /// Un-normalized kernel-sum grid of one chunk of points. The returned
@@ -129,14 +174,16 @@ pub(crate) fn fill_kernel_column(
 /// starts all-zero, exactly like a fresh allocation.
 ///
 /// Points are gathered into blocks of [`KDE_BLOCK`]; a full block flushes
-/// through [`simd::axpy8`] — one pass over each grid row in the block's
+/// through [`Isa::axpy8`] — one pass over each grid row in the block's
 /// union support applies all eight outer products. Scratch columns are
 /// zero outside each point's own support, so out-of-support cells receive
 /// `+0.0`: the grid accumulator is non-negative (it starts at `+0.0` and
 /// kernel products are `≥ 0`), and `x + 0.0 == x` bitwise for every
 /// non-negative `x`, so the fused pass reproduces the per-point spec loop
 /// bit-for-bit in the same point order.
-fn accumulate_grid_chunk(
+#[inline(always)]
+fn accumulate_grid_chunk<I: Isa>(
+    isa: I,
     points: &[[f64; 2]],
     bw: Bandwidth2D,
     spec: GridSpec,
@@ -161,6 +208,7 @@ fn accumulate_grid_chunk(
         }
         let b = filled;
         fill_kernel_column(
+            isa,
             &mut kx[b * n..(b + 1) * n],
             x_lo,
             x_hi,
@@ -170,6 +218,7 @@ fn accumulate_grid_chunk(
             bw.hx,
         );
         fill_kernel_column(
+            isa,
             &mut ky[b * n..(b + 1) * n],
             y_lo,
             y_hi,
@@ -182,14 +231,14 @@ fn accumulate_grid_chunk(
         yr[b] = (y_lo, y_hi);
         filled += 1;
         if filled == KDE_BLOCK {
-            flush_block(&mut values, n, &kx, &ky, &xr, &yr, filled);
+            flush_block(isa, &mut values, n, &kx, &ky, &xr, &yr, filled);
             clear_columns(&mut kx, n, &xr, filled);
             clear_columns(&mut ky, n, &yr, filled);
             filled = 0;
         }
     }
     if filled > 0 {
-        flush_block(&mut values, n, &kx, &ky, &xr, &yr, filled);
+        flush_block(isa, &mut values, n, &kx, &ky, &xr, &yr, filled);
     }
     values
 }
@@ -198,16 +247,19 @@ fn accumulate_grid_chunk(
 ///
 /// A full block whose eight supports overlap tightly walks each grid row
 /// in the union y-support once, fusing all eight columns via
-/// [`simd::axpy8`] — one load/store of the grid row serves eight points.
+/// [`Isa::axpy8`] — one load/store of the grid row serves eight points.
 /// When the supports are scattered (points from far-apart clusters landing
 /// in the same block), the union rectangle can dwarf the individual
 /// supports and the fused pass would spend most of its lanes adding the
 /// `+0.0` padding; those blocks — and partial (tail) blocks — instead take
-/// per-point [`simd::axpy_inplace`] passes over each point's own support.
+/// per-point [`Isa::axpy`] passes over each point's own support.
 /// Both schedules deposit bit-identical contributions (the padding adds
 /// are exact no-ops on the non-negative accumulator), so the choice is
 /// purely a throughput heuristic and never shows up in the output.
-fn flush_block(
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the block's scratch columns and their ranges
+fn flush_block<I: Isa>(
+    isa: I,
     values: &mut [f64],
     n: usize,
     kx: &[f64],
@@ -241,7 +293,7 @@ fn flush_block(
             std::array::from_fn(|b| &kx[b * n + ux_lo..b * n + ux_hi + 1]);
         for iy in uy_lo..=uy_hi {
             let cs: [f64; KDE_BLOCK] = std::array::from_fn(|b| ky[b * n + iy]);
-            simd::axpy8(&cs, &xs, &mut values[iy * n + ux_lo..iy * n + ux_hi + 1]);
+            isa.axpy8(&cs, &xs, &mut values[iy * n + ux_lo..iy * n + ux_hi + 1]);
         }
     } else {
         for b in 0..filled {
@@ -249,7 +301,7 @@ fn flush_block(
             let (y_lo, y_hi) = yr[b];
             let col = &kx[b * n + x_lo..b * n + x_hi + 1];
             for iy in y_lo..=y_hi {
-                simd::axpy_inplace(
+                isa.axpy(
                     ky[b * n + iy],
                     col,
                     &mut values[iy * n + x_lo..iy * n + x_hi + 1],
@@ -261,6 +313,7 @@ fn flush_block(
 
 /// Re-zero exactly the written support ranges so the next block again sees
 /// all-zero scratch (the `+0.0`-padding invariant).
+#[inline(always)]
 fn clear_columns(
     scratch: &mut [f64],
     n: usize,
@@ -280,6 +333,7 @@ fn clear_columns(
 /// compare false — and come out as the non-empty range `[0, 0]`, so one
 /// NaN coordinate deposited a NaN kernel column into the grid corner and
 /// poisoned every downstream consumer of the estimate.)
+#[inline(always)]
 pub(crate) fn support_range(
     center: f64,
     h: f64,
@@ -317,7 +371,7 @@ pub fn density_at(points: &[[f64; 2]], bw: Bandwidth2D, x: f64, y: f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn bw(h: f64) -> Bandwidth2D {
@@ -446,16 +500,31 @@ mod tests {
     }
 
     /// The pre-SIMD spec loop: one point at a time, scalar
-    /// `gaussian_kernel` per cell, scalar row accumulation.
+    /// `gaussian_kernel` per cell, scalar row accumulation, one partial
+    /// grid per fixed chunk of points merged in chunk order.
     fn reference_grid(points: &[[f64; 2]], bw: Bandwidth2D, spec: GridSpec) -> Vec<f64> {
         let n = spec.n;
         let mut values = vec![0.0; n * n];
-        let mut finite = 0usize;
+        let finite = points.len() - count_nonfinite(points);
+        for chunk in points.chunks(hinn_par::CHUNK) {
+            for (v, c) in values.iter_mut().zip(reference_chunk(chunk, bw, spec)) {
+                *v += c;
+            }
+        }
+        let inv_n = 1.0 / finite as f64;
+        for v in &mut values {
+            *v *= inv_n;
+        }
+        values
+    }
+
+    fn reference_chunk(points: &[[f64; 2]], bw: Bandwidth2D, spec: GridSpec) -> Vec<f64> {
+        let n = spec.n;
+        let mut values = vec![0.0; n * n];
         for p in points {
             if !(p[0].is_finite() && p[1].is_finite()) {
                 continue;
             }
-            finite += 1;
             let (x_lo, x_hi) = support_range(p[0], bw.hx, spec.x0, spec.dx, n);
             let (y_lo, y_hi) = support_range(p[1], bw.hy, spec.y0, spec.dy, n);
             if x_lo > x_hi || y_lo > y_hi {
@@ -474,10 +543,6 @@ mod tests {
                     row[ix] += kx[ix] * kyv;
                 }
             }
-        }
-        let inv_n = 1.0 / finite as f64;
-        for v in &mut values {
-            *v *= inv_n;
         }
         values
     }
@@ -504,6 +569,58 @@ mod tests {
                     b.to_bits(),
                     "h={h}, cell {i}: {a} vs {b} — SIMD path must be bit-identical"
                 );
+            }
+        }
+    }
+
+    /// `n` points in a few Gaussian-ish blobs (sums of uniforms), spread
+    /// over about `[0, 10]²`.
+    pub(crate) fn blobs(n: usize) -> Vec<[f64; 2]> {
+        let mut state = 0x5851_F42D_4C95_7F2Du64;
+        let mut unif = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let centers = [[2.0, 3.0], [7.5, 6.0], [4.0, 8.0]];
+        (0..n)
+            .map(|i| {
+                let c = centers[i % centers.len()];
+                let dx: f64 = (0..4).map(|_| unif() - 0.5).sum();
+                let dy: f64 = (0..4).map(|_| unif() - 0.5).sum();
+                [c[0] + dx, c[1] + dy]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_backend_reproduces_the_scalar_spec_at_session_and_wide_shapes() {
+        // The session's shape: an 80 × 80 grid with supports about 5 cells
+        // wide (12h ≈ 5 steps), over more than two 1 024-point chunks;
+        // then a 256 × 256 grid with the wide Silverman support.
+        let pts = blobs(2_500);
+        let session = GridSpec::covering(&pts, &[], 0.3, 80);
+        let narrow = Bandwidth2D {
+            hx: 5.0 * session.dx / 12.0,
+            hy: 5.0 * session.dy / 12.0,
+        };
+        let wide = GridSpec::covering(&pts, &[], 0.3, 256);
+        for (spec, bw) in [(session, narrow), (wide, Bandwidth2D::silverman(&pts))] {
+            let want = reference_grid(&pts, bw, spec);
+            for b in Backend::available() {
+                for t in [1usize, 3] {
+                    let g = estimate_grid_on(b, Parallelism::fixed(t), &pts, bw, spec);
+                    for (i, (a, w)) in g.values().iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            w.to_bits(),
+                            "{} threads={t} grid {}: cell {i}",
+                            b.name(),
+                            spec.n
+                        );
+                    }
+                }
             }
         }
     }

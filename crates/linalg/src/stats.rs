@@ -14,8 +14,10 @@
 //! `hinn-par`), so the result is bit-identical for every thread count.
 
 use crate::matrix::Matrix;
+use crate::simd::{active_backend, Backend, DIR_LANES};
 use crate::vector::dot;
 use hinn_par::{map_reduce_chunks, Parallelism};
+use std::ops::Range;
 
 /// Component-wise mean of a non-empty point set.
 ///
@@ -164,95 +166,175 @@ pub fn variance_along(points: &[Vec<f64>], direction: &[f64]) -> f64 {
     ss / n
 }
 
-/// [`variance_along`] for every direction of `dirs` at once, over points
-/// stored as columns (`cols[j][i]` = coordinate `j` of point `i`).
+/// [`variance_along`] for every direction of `dirs`, then for every unit
+/// axis named in `axes`, over points stored as columns (`cols[j][i]` =
+/// coordinate `j` of point `i`). The result holds `dirs.len()` values,
+/// then `axes.len()`.
 ///
-/// Each pass is one [`map_reduce_chunks`] for all directions: a chunk
-/// projects its points onto each direction with [`crate::simd::dot_cols`]
-/// and folds them in ascending point order, and the per-direction partials
-/// merge in chunk order. That is exactly the chunking and association of
-/// the per-direction row scan, so `out[k]` is bit-identical to
-/// `variance_along(rows, dirs[k])` for every thread budget.
+/// Two [`map_reduce_chunks`] passes serve all directions: the first sums
+/// each direction's projections, the second the squared deviations from
+/// the mean. Each direction adds its points in ascending order from `−0.0`
+/// within each fixed chunk, and the partials merge in chunk order from
+/// `0.0`: the chunking and association of the per-direction row scan.
+///
+/// - A direction of `dirs` is projected in each pass with the per-point
+///   fold of [`crate::simd::dot_cols`], eight directions side by side, one
+///   per vector lane, and each projection is folded while it is
+///   still in registers. (Keeping the first pass's projections for the
+///   second would cost `8·n·dirs.len()` bytes of scratch; on the session
+///   benchmark that memory cost more than the second projection.)
+///   `out[k]` is bit-identical to `variance_along(rows, dirs[k])` for
+///   every thread budget and backend.
+/// - An axis `a` of `axes` is not projected: its values are column `a`.
+///   The dot of a finite row with the unit vector `e_a` is that
+///   coordinate up to the sign of an exact zero, and no variance bit
+///   depends on that sign, so for finite data the result is
+///   `variance_along(rows, e_a)` bit for bit. A non-finite coordinate
+///   elsewhere in a row would make that dot NaN (`∞·0`); the column read
+///   does not see it.
 ///
 /// # Panics
-/// Panics if the point set is empty, the columns differ in length, or any
-/// direction's length differs from `cols.len()`.
-pub fn variances_along_cols_with(par: Parallelism, cols: &[&[f64]], dirs: &[&[f64]]) -> Vec<f64> {
-    let n = cols.first().map_or(0, |c| c.len());
-    assert!(n > 0, "variances_along_cols: empty point set");
-    let nf = n as f64;
-    let zeros = vec![0.0; dirs.len()];
-    let means: Vec<f64> = sum_projections(par, cols, dirs, &zeros, |x, _| x)
-        .iter()
-        .map(|s| s / nf)
-        .collect();
-    sum_projections(par, cols, dirs, &means, |x, mean| {
-        let x = x - mean;
-        x * x
-    })
-    .iter()
-    .map(|s| s / nf)
-    .collect()
-}
-
-/// Directions folded side by side in [`sum_projections`]. A single
-/// direction's fold is one dependent chain of adds; folding a few
-/// directions in the same loop runs their chains in parallel, while each
-/// chain still adds its own terms in ascending point order.
-const FOLD_LANES: usize = 4;
-
-/// One pass of [`variances_along_cols_with`]: `Σᵢ term(pᵢ · dirs[k],
-/// shift[k])` for every direction `k`. Each chunk folds its points in
-/// ascending order from `−0.0` (as `Iterator::sum` does), and the chunk
-/// partials merge in chunk order from `0.0`.
-#[allow(clippy::needless_range_loop)] // one index walks every lane in lockstep
-fn sum_projections<T>(
+/// Panics if the point set is empty, the columns differ in length, any
+/// direction's length differs from `cols.len()`, or an axis is out of
+/// range.
+pub fn variances_along_cols_with(
     par: Parallelism,
     cols: &[&[f64]],
     dirs: &[&[f64]],
-    shift: &[f64],
-    term: T,
-) -> Vec<f64>
-where
-    T: Fn(f64, f64) -> f64 + Sync,
-{
+    axes: &[usize],
+) -> Vec<f64> {
+    variances_along_cols_backend(active_backend(), par, cols, dirs, axes)
+}
+
+/// [`variances_along_cols_with`] pinned to an explicit backend
+/// (equivalence tests).
+#[doc(hidden)]
+pub fn variances_along_cols_backend(
+    b: Backend,
+    par: Parallelism,
+    cols: &[&[f64]],
+    dirs: &[&[f64]],
+    axes: &[usize],
+) -> Vec<f64> {
+    let d = cols.len();
     let n = cols.first().map_or(0, |c| c.len());
-    map_reduce_chunks(
+    assert!(n > 0, "variances_along_cols: empty point set");
+    assert!(
+        cols.iter().all(|c| c.len() == n),
+        "variances_along_cols: ragged columns"
+    );
+    assert!(
+        dirs.iter().all(|dir| dir.len() == d),
+        "variances_along_cols: direction length mismatch"
+    );
+    assert!(
+        axes.iter().all(|&a| a < d),
+        "variances_along_cols: axis out of range"
+    );
+    let groups = dirs.len().div_ceil(DIR_LANES);
+    // Transposed, zero-padded directions: `lanes[g·d + j][l]` is component
+    // `j` of direction `g·DIR_LANES + l`. Padding lanes compute values
+    // that are never read.
+    let mut lanes = vec![[0.0; DIR_LANES]; groups * d];
+    for (k, dir) in dirs.iter().enumerate() {
+        for (j, &v) in dir.iter().enumerate() {
+            lanes[(k / DIR_LANES) * d + j][k % DIR_LANES] = v;
+        }
+    }
+    let axis_cols: Vec<&[f64]> = axes.iter().map(|&a| cols[a]).collect();
+    let no_shift = vec![0.0; axes.len()];
+    let nf = n as f64;
+
+    // Pass 1: sums.
+    let sums = map_reduce_chunks(
         par,
         n,
         |r| {
-            let len = r.len();
-            let chunk: Vec<&[f64]> = cols.iter().map(|c| &c[r.clone()]).collect();
-            let mut proj = vec![0.0; FOLD_LANES * len];
-            let mut sums = Vec::with_capacity(dirs.len());
-            for (g, group) in dirs.chunks(FOLD_LANES).enumerate() {
-                for (dir, buf) in group.iter().zip(proj.chunks_exact_mut(len)) {
-                    crate::simd::dot_cols(&chunk, dir, buf);
-                }
-                // Lanes past the end of a short last group fold whatever
-                // their buffer holds; their sums are dropped below.
-                let lane: [&[f64]; FOLD_LANES] =
-                    std::array::from_fn(|l| &proj[l * len..(l + 1) * len]);
-                let sh: [f64; FOLD_LANES] =
-                    std::array::from_fn(|l| shift.get(g * FOLD_LANES + l).copied().unwrap_or(0.0));
-                let mut acc = [-0.0f64; FOLD_LANES];
-                for i in 0..len {
-                    for l in 0..FOLD_LANES {
-                        acc[l] += term(lane[l][i], sh[l]);
-                    }
-                }
-                sums.extend_from_slice(&acc[..group.len()]);
+            let mut part = Vec::with_capacity(dirs.len() + axes.len());
+            if groups > 0 {
+                let chunk: Vec<&[f64]> = cols.iter().map(|c| &c[r.clone()]).collect();
+                let mut lane_sums = vec![[0.0; DIR_LANES]; groups];
+                crate::simd::project_and_sum(b, &chunk, &lanes, &mut lane_sums);
+                #[cfg(test)]
+                tests::tally_projected(r.len() * dirs.len());
+                part.extend(lane_sums.iter().flatten().take(dirs.len()));
             }
-            sums
+            fold_axes(&axis_cols, r, &no_shift, |x, _| x, &mut part);
+            part
         },
-        vec![0.0f64; dirs.len()],
-        |mut acc, part| {
-            for (a, p) in acc.iter_mut().zip(&part) {
-                *a += p;
+        vec![0.0f64; dirs.len() + axes.len()],
+        add_partial,
+    );
+    let means: Vec<f64> = sums.iter().map(|s| s / nf).collect();
+    let (dir_means, axis_means) = means.split_at(dirs.len());
+    let mut mean_lanes = vec![[0.0; DIR_LANES]; groups];
+    for (k, &m) in dir_means.iter().enumerate() {
+        mean_lanes[k / DIR_LANES][k % DIR_LANES] = m;
+    }
+
+    // Pass 2: squared deviations from the means.
+    let ss = map_reduce_chunks(
+        par,
+        n,
+        |r| {
+            let mut part = Vec::with_capacity(dirs.len() + axes.len());
+            if groups > 0 {
+                let chunk: Vec<&[f64]> = cols.iter().map(|c| &c[r.clone()]).collect();
+                let mut lane_sums = vec![[0.0; DIR_LANES]; groups];
+                crate::simd::centered_square_sums(b, &chunk, &lanes, &mean_lanes, &mut lane_sums);
+                #[cfg(test)]
+                tests::tally_projected(r.len() * dirs.len());
+                part.extend(lane_sums.iter().flatten().take(dirs.len()));
             }
-            acc
+            fold_axes(
+                &axis_cols,
+                r,
+                axis_means,
+                |x, mean| {
+                    let x = x - mean;
+                    x * x
+                },
+                &mut part,
+            );
+            part
         },
-    )
+        vec![0.0f64; dirs.len() + axes.len()],
+        add_partial,
+    );
+    ss.iter().map(|s| s / nf).collect()
+}
+
+/// The ordered merge of both passes: chunk partials added in chunk order.
+fn add_partial(mut acc: Vec<f64>, part: Vec<f64>) -> Vec<f64> {
+    for (a, p) in acc.iter_mut().zip(&part) {
+        *a += p;
+    }
+    acc
+}
+
+/// Append `Σᵢ term(cols[k][i], shift[k])` over the chunk `r` for every
+/// column `k`, each folded in ascending point order from `−0.0`.
+/// [`DIR_LANES`] columns are folded side by side: one column's fold is a
+/// dependent chain of adds, and a few chains in flight keep the adder
+/// busy. A short last group repeats its last column in the spare lanes,
+/// whose sums are dropped.
+#[allow(clippy::needless_range_loop)] // one index walks every lane in lockstep
+fn fold_axes<T>(cols: &[&[f64]], r: Range<usize>, shift: &[f64], term: T, out: &mut Vec<f64>)
+where
+    T: Fn(f64, f64) -> f64,
+{
+    for (group, sh) in cols.chunks(DIR_LANES).zip(shift.chunks(DIR_LANES)) {
+        let last = group.len() - 1;
+        let lane: [&[f64]; DIR_LANES] = std::array::from_fn(|l| &group[l.min(last)][r.clone()]);
+        let sh: [f64; DIR_LANES] = std::array::from_fn(|l| sh[l.min(last)]);
+        let mut acc = [-0.0f64; DIR_LANES];
+        for i in 0..r.len() {
+            for l in 0..DIR_LANES {
+                acc[l] += term(lane[l][i], sh[l]);
+            }
+        }
+        out.extend_from_slice(&acc[..group.len()]);
+    }
 }
 
 /// Per-coordinate variances — the axis-parallel specialization used when the
@@ -310,6 +392,23 @@ pub fn std_dev(sample: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::eigen::jacobi_eigen;
+    use std::cell::Cell;
+
+    thread_local! {
+        static PROJECTED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Record `k` point projections onto a direction made on this thread.
+    pub(super) fn tally_projected(k: usize) {
+        PROJECTED.with(|p| p.set(p.get() + k));
+    }
+
+    /// The point projections `run` made on this thread.
+    fn projections<T>(run: impl FnOnce() -> T) -> (T, usize) {
+        PROJECTED.with(|p| p.set(0));
+        let out = run();
+        (out, PROJECTED.with(|p| p.get()))
+    }
 
     #[test]
     fn mean_of_known_points() {
@@ -427,7 +526,7 @@ mod tests {
             }
             assert_eq!(
                 along_s.to_bits(),
-                variances_along_cols_with(par, &col_refs, &[&dir])[0].to_bits(),
+                variances_along_cols_with(par, &col_refs, &[&dir], &[])[0].to_bits(),
                 "variances_along_cols, threads={t}"
             );
         }
@@ -456,8 +555,103 @@ mod tests {
         assert_eq!(mean_vector_with(par, &pts), vec![1.0, 2.0]);
         assert_eq!(coordinate_variances_with(par, &pts), vec![0.0, 0.0]);
         assert_eq!(
-            variances_along_cols_with(par, &[&[1.0], &[2.0]], &[&[1.0, 0.0]]),
-            vec![0.0]
+            variances_along_cols_with(par, &[&[1.0], &[2.0]], &[&[1.0, 0.0]], &[1]),
+            vec![0.0, 0.0]
         );
+    }
+
+    /// Rows over a grid of signed zeros, units and halves, so many points
+    /// have exact `±0.0` coordinates and many projections are exact zeros.
+    fn signed_zero_points(n: usize, d: usize) -> Vec<Vec<f64>> {
+        const VALUES: [f64; 6] = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        VALUES[(state % VALUES.len() as u64) as usize]
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_variances_match_variance_along_on_every_backend_and_budget() {
+        let d = 5;
+        let mut pts = signed_zero_points(hinn_par::SERIAL_CUTOFF + 311, d);
+        pts.extend(big_points(700, d));
+        let cols: Vec<Vec<f64>> = (0..d).map(|j| pts.iter().map(|p| p[j]).collect()).collect();
+        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        // Unit axes among oblique directions, one all-zero, and more than
+        // one lane group.
+        let mut dirs: Vec<Vec<f64>> = vec![
+            vec![0.3, -0.2, 0.5, 0.1, -0.7],
+            vec![0.0, 1.0, 0.0, 0.0, 0.0],
+            vec![-0.0, 0.0, -0.0, 0.0, -0.0],
+            vec![1.0, -1.0, 0.0, 0.0, 0.0],
+        ];
+        for j in 0..d {
+            let mut e = vec![0.0; d];
+            e[j] = 1.0;
+            dirs.push(e);
+        }
+        dirs.push(vec![0.25, 0.5, -0.125, 2.0, -0.0]);
+        let dir_refs: Vec<&[f64]> = dirs.iter().map(|v| v.as_slice()).collect();
+        let axes = [4usize, 0, 2, 2, 1, 3];
+        let want: Vec<f64> = dirs
+            .iter()
+            .map(|dir| variance_along(&pts, dir))
+            .chain(axes.iter().map(|&a| {
+                let mut e = vec![0.0; d];
+                e[a] = 1.0;
+                variance_along(&pts, &e)
+            }))
+            .collect();
+        for b in crate::simd::Backend::available() {
+            for t in [1usize, 2, 3, 7] {
+                let got = variances_along_cols_backend(
+                    b,
+                    Parallelism::fixed(t),
+                    &col_refs,
+                    &dir_refs,
+                    &axes,
+                );
+                assert_eq!(got.len(), want.len());
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{} threads={t} candidate {k}: {g} vs {w}",
+                        b.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_direction_is_projected_once_per_pass_and_axes_never() {
+        let pts = big_points(2 * hinn_par::CHUNK + 17, 4);
+        let n = pts.len();
+        let cols: Vec<Vec<f64>> = (0..4).map(|j| pts.iter().map(|p| p[j]).collect()).collect();
+        let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
+        let dir = [0.5, 0.5, -0.5, 0.5];
+        let serial = Parallelism::serial();
+        let (_, count) =
+            projections(|| variances_along_cols_with(serial, &col_refs, &[&dir, &dir, &dir], &[]));
+        assert_eq!(
+            count,
+            2 * 3 * n,
+            "one projection per pass, direction and point"
+        );
+        let (_, count) =
+            projections(|| variances_along_cols_with(serial, &col_refs, &[&dir], &[0, 1, 2, 3]));
+        assert_eq!(count, 2 * n, "axes are read from their columns");
+        let (_, count) = projections(|| variances_along_cols_with(serial, &col_refs, &[], &[3]));
+        assert_eq!(count, 0);
     }
 }

@@ -13,7 +13,7 @@ use hinn_linalg::simd::{
     axpy8_backend, axpy_inplace_backend, dist_cols, dist_sq_cols_backend, div_inplace_backend,
     dot_cols_backend, gaussian_prep_backend, sqrt_inplace_backend, Backend,
 };
-use hinn_linalg::stats::{variance_along, variances_along_cols_with};
+use hinn_linalg::stats::{variance_along, variances_along_cols_backend};
 use hinn_linalg::{vector, Parallelism};
 use proptest::prelude::*;
 
@@ -154,20 +154,38 @@ proptest! {
     #[test]
     fn batched_variances_equal_variance_along_per_direction(
         (rows, dirs) in rows_and_dirs(),
+        axis_picks in proptest::collection::vec(0..16usize, 0..4),
         threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let d = rows[0].len();
         let cols: Vec<Vec<f64>> = (0..d).map(|j| rows.iter().map(|r| r[j]).collect()).collect();
         let col_refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
         let dir_refs: Vec<&[f64]> = dirs.iter().map(|v| v.as_slice()).collect();
-        let got = variances_along_cols_with(Parallelism::fixed(threads), &col_refs, &dir_refs);
-        prop_assert_eq!(got.len(), dirs.len());
-        for (k, dir) in dirs.iter().enumerate() {
-            let want = variance_along(&rows, dir);
-            prop_assert_eq!(
-                got[k].to_bits(), want.to_bits(),
-                "n={} d={} direction {}: {} vs {}", rows.len(), d, k, got[k], want
+        let axes: Vec<usize> = axis_picks.iter().map(|a| a % d).collect();
+        let want: Vec<f64> = dirs
+            .iter()
+            .map(|dir| variance_along(&rows, dir))
+            .chain(axes.iter().map(|&a| {
+                let mut e = vec![0.0; d];
+                e[a] = 1.0;
+                variance_along(&rows, &e)
+            }))
+            .collect();
+        for b in backends() {
+            let got = variances_along_cols_backend(
+                b,
+                Parallelism::fixed(threads),
+                &col_refs,
+                &dir_refs,
+                &axes,
             );
+            prop_assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    g.to_bits(), w.to_bits(),
+                    "{:?} n={} d={} candidate {}: {} vs {}", b, rows.len(), d, k, g, w
+                );
+            }
         }
     }
 
