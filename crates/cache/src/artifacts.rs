@@ -127,7 +127,7 @@ impl DatasetArtifacts {
 
     /// The shared artifacts of `points`: hashes the dataset (`O(n·d)`) and
     /// returns the registry's `Arc` for that fingerprint, creating (and,
-    /// beyond [`REGISTRY_CAPACITY`] datasets, evicting least-recently
+    /// beyond `REGISTRY_CAPACITY` datasets, evicting least-recently
     /// used) as needed.
     pub fn for_points(points: &[Vec<f64>]) -> Arc<Self> {
         let dims = points.first().map_or(0, Vec::len);

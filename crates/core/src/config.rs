@@ -189,8 +189,8 @@ impl SearchConfig {
     /// Validate invariants that cannot be enforced at construction.
     ///
     /// # Panics
-    /// Panics with the offending invariant's message; [`try_validate`]
-    /// (`SearchConfig::try_validate`) is the non-panicking form.
+    /// Panics with the offending invariant's message;
+    /// [`SearchConfig::try_validate`] is the non-panicking form.
     pub fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");

@@ -172,7 +172,7 @@ impl InteractiveSearch {
     /// Run the full interactive session of Fig. 2 against `user`.
     ///
     /// Internally this is a driver loop over
-    /// [`SessionEngine`](crate::SessionEngine): start, show each
+    /// [`SessionEngine`]: start, show each
     /// [`Step::NeedResponse`] view to the callback, submit, repeat until
     /// [`Step::Done`]. The loop adds nothing of its own, so the outcome is
     /// bit-identical to the engine driven by hand (or suspended and

@@ -176,6 +176,15 @@ impl Visited {
         }
     }
 
+    /// Make room for ids `0..n`. Never shrinks, and keeps the stamps it
+    /// has: they are all older than the next search's epoch, and new slots
+    /// start at 0, which no search's epoch ever is.
+    fn grow(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+    }
+
     /// Start a new search; all nodes become unvisited.
     fn next_epoch(&mut self) {
         if self.epoch == u32::MAX {
@@ -198,9 +207,18 @@ impl Visited {
 }
 
 thread_local! {
-    /// Per-thread search scratch, reused across queries (and resized when
-    /// a differently-sized graph is searched on the same thread).
+    /// Per-thread search scratch, reused across queries and builds; it
+    /// grows to the largest graph searched on the thread.
     static SCRATCH: RefCell<Visited> = RefCell::new(Visited::new(0));
+}
+
+/// Run `f` with this thread's search scratch, grown to cover ids `0..n`.
+fn with_scratch<R>(n: usize, f: impl FnOnce(&mut Visited) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut visited = cell.borrow_mut();
+        visited.grow(n);
+        f(&mut visited)
+    })
 }
 
 /// Bit 63 of a list's diversity mask (see [`HEAD`]): set iff the mask
@@ -239,8 +257,8 @@ fn header(len: usize, mask: u64) -> [u32; HEAD] {
 
 /// Build-local state reused across inserts: the visited set, the work
 /// counters and the buffers the neighbor selection fills.
-struct Builder {
-    visited: Visited,
+struct Builder<'v> {
+    visited: &'v mut Visited,
     stats: HnswStats,
     /// Neighbor lists copied on their first write from the graph this one
     /// shares structure with (none in a fresh build).
@@ -390,21 +408,23 @@ impl Hnsw {
             }
         }
 
-        let mut builder = Builder {
-            visited: Visited::new(n),
-            stats: HnswStats::default(),
-            lists_copied: 0,
-            scored: Vec::new(),
-            picked: Vec::new(),
-            kept: Vec::new(),
-            own: Vec::new(),
-        };
-        for id in start as u32..n as u32 {
-            if !self.poisoned[id as usize] {
-                self.insert(id, &mut builder);
+        with_scratch(n, |visited| {
+            let mut builder = Builder {
+                visited,
+                stats: HnswStats::default(),
+                lists_copied: 0,
+                scored: Vec::new(),
+                picked: Vec::new(),
+                kept: Vec::new(),
+                own: Vec::new(),
+            };
+            for id in start as u32..n as u32 {
+                if !self.poisoned[id as usize] {
+                    self.insert(id, &mut builder);
+                }
             }
-        }
-        (builder.stats, builder.lists_copied)
+            (builder.stats, builder.lists_copied)
+        })
     }
 
     /// The link cap on `layer`: `max_m0` on layer 0, `m` above.
@@ -451,7 +471,7 @@ impl Hnsw {
     /// graph adopts their chunk table (a reference-count bump per chunk,
     /// no point is copied) and inserts the ids `self.len()..rows.len()`.
     ///
-    /// Because [`HnswParams::level_of`] hashes ids independently and
+    /// Because `HnswParams::level_of` hashes ids independently and
     /// [`Hnsw::build`] inserts in strict id order, a graph built over a
     /// prefix and then extended with the suffix is **bit-identical**
     /// (same [`Hnsw::digest`]) to one built over the full set in one
@@ -596,6 +616,39 @@ impl Hnsw {
     /// # Panics
     /// Panics on query dimensionality mismatch.
     pub fn knn_with_stats_ef(&self, query: &[f64], k: usize, ef: usize) -> (Vec<usize>, HnswStats) {
+        self.search(query, k, ef, |_| true)
+    }
+
+    /// [`Hnsw::knn_with_ef`] over the ids `keep` accepts: up to `k` of
+    /// them, closest first. A node `keep` rejects (a tombstone, say) is
+    /// still walked through as a bridge between the nodes around it, but
+    /// never takes one of the `max(ef, k)` result slots, so the walk costs
+    /// about what an unfiltered one would over the accepted nodes alone
+    /// (the approach of hnswlib's deleted marks). With `keep` always true
+    /// this is exactly [`Hnsw::knn_with_ef`].
+    ///
+    /// # Panics
+    /// Panics on query dimensionality mismatch.
+    pub fn knn_with_ef_where(
+        &self,
+        query: &[f64],
+        k: usize,
+        ef: usize,
+        keep: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        self.search(query, k, ef, keep).0
+    }
+
+    /// The k-NN walk behind every public search: greedy descent through
+    /// the upper layers, then the beam search on layer 0 over the ids
+    /// `keep` accepts.
+    fn search(
+        &self,
+        query: &[f64],
+        k: usize,
+        ef: usize,
+        keep: impl Fn(usize) -> bool,
+    ) -> (Vec<usize>, HnswStats) {
         assert_eq!(query.len(), self.rows.dim(), "Hnsw: query dimensionality");
         let mut stats = HnswStats::default();
         let Some(entry) = self.entry else {
@@ -607,11 +660,7 @@ impl Hnsw {
         let _span = hinn_obs::span!("index.search");
         let ef = ef.max(k).max(1);
 
-        let ids = SCRATCH.with(|cell| {
-            let mut visited = cell.borrow_mut();
-            if visited.stamp.len() != self.len() {
-                *visited = Visited::new(self.len());
-            }
+        let ids = with_scratch(self.len(), |visited| {
             // Greedy descent through the upper layers to a local minimum.
             let mut ep = Entry {
                 dist: dist_sq(self.point(entry), query),
@@ -622,7 +671,8 @@ impl Hnsw {
                 ep = self.greedy_step(query, ep, layer, &mut stats);
             }
             // Beam search on layer 0.
-            let found = self.search_layer(query, &[ep], 0, ef, &mut visited, &mut stats);
+            let keep = |id: u32| keep(id as usize);
+            let found = self.search_layer(query, &[ep], 0, ef, keep, visited, &mut stats);
             found.into_iter().take(k).map(|e| e.id as usize).collect()
         });
 
@@ -690,12 +740,19 @@ impl Hnsw {
     /// The ef-bounded beam search of Malkov & Yashunin Alg. 2, returning
     /// up to `ef` entries sorted closest-first. Deterministic: both heaps
     /// order by the total `(dist, id)` comparison.
+    ///
+    /// Only nodes `keep` accepts enter the results. A rejected node is
+    /// still scored and, under the usual rule (the results hold fewer than
+    /// `ef` entries, or it beats the worst of them), enters the frontier,
+    /// so the walk crosses it to the accepted nodes beyond.
+    #[allow(clippy::too_many_arguments)]
     fn search_layer(
         &self,
         query: &[f64],
         entries: &[Entry],
         layer: usize,
         ef: usize,
+        keep: impl Fn(u32) -> bool,
         visited: &mut Visited,
         stats: &mut HnswStats,
     ) -> Vec<Entry> {
@@ -704,7 +761,9 @@ impl Hnsw {
         let mut frontier: BinaryHeap<Reverse<Entry>> = BinaryHeap::new(); // best on top
         for &e in entries {
             if visited.insert(e.id) {
-                results.push(e);
+                if keep(e.id) {
+                    results.push(e);
+                }
                 frontier.push(Reverse(e));
             }
         }
@@ -731,12 +790,16 @@ impl Hnsw {
                     };
                     stats.dist_evals += 1;
                     if results.len() < ef {
-                        results.push(e);
+                        if keep(u) {
+                            results.push(e);
+                        }
                         frontier.push(Reverse(e));
                     } else if let Some(&worst) = results.peek() {
                         if e < worst {
-                            results.pop();
-                            results.push(e);
+                            if keep(u) {
+                                results.pop();
+                                results.push(e);
+                            }
                             frontier.push(Reverse(e));
                         }
                     }
@@ -780,7 +843,8 @@ impl Hnsw {
                 &entries,
                 layer,
                 ef,
-                &mut b.visited,
+                |_| true,
+                b.visited,
                 &mut b.stats,
             );
             let cap = self.cap(layer);
@@ -1397,6 +1461,20 @@ mod tests {
         assert_eq!(v.epoch, 1);
     }
 
+    #[test]
+    fn visited_grows_without_forgetting() {
+        let mut v = Visited::new(4);
+        v.next_epoch();
+        assert!(v.insert(3));
+        v.grow(8); // the stamp taken holds; the new ids are unvisited
+        assert!(!v.insert(3));
+        assert!(v.insert(7));
+        v.grow(2); // never shrinks
+        assert_eq!(v.stamp.len(), 8);
+        v.next_epoch();
+        assert!(v.insert(3) && v.insert(7));
+    }
+
     /// A clustered cloud: `k` tight clusters around uniform centers, with
     /// every 17th row a duplicate of the row before it, so distance ties
     /// reach the `(dist, id)` tie-break.
@@ -1555,6 +1633,113 @@ mod tests {
             assert_eq!(base.digest(), digest, "reference prune: {reference}");
             assert_eq!(answers(&base), before, "reference prune: {reference}");
             REFERENCE_PRUNE.with(|r| r.set(false));
+        }
+    }
+
+    /// The unfiltered walk on each pinned fixture, captured before the walk
+    /// took a filter: the summed `(hops, dist_evals)` of three queries
+    /// (`k = 10`, `ef = 48`) and the low half of a digest of their answers.
+    const PINNED_WALKS: [(&str, usize, usize, u64); 7] = [
+        ("uniform", 156, 1234, 11130473209054051823),
+        ("clustered", 157, 536, 18032875442577477952),
+        ("poisoned", 155, 919, 97049477343823429),
+        ("m2", 176, 363, 3542977085972942388),
+        ("m12", 155, 869, 13222527367566162007),
+        ("m40", 151, 1316, 17516896719713220228),
+        ("extended", 154, 518, 9334720649422382336),
+    ];
+
+    #[test]
+    fn unfiltered_walks_are_pinned() {
+        for (name, hops, dist_evals, answers) in PINNED_WALKS {
+            let (pts, _, _) = fixture(name);
+            let graph = build_fixture(name);
+            let n = pts.len();
+            let mut h = Fnv128::new();
+            let mut total = HnswStats::default();
+            for qi in [1, n / 2, n - 2] {
+                let (ids, stats) = graph.knn_with_stats_ef(&pts[qi], 10, 48);
+                let kept = graph.knn_with_ef_where(&pts[qi], 10, 48, |_| true);
+                assert_eq!(kept, ids, "fixture {name}, query {qi}");
+                ids.iter().for_each(|&id| h.write_usize(id));
+                total.hops += stats.hops;
+                total.dist_evals += stats.dist_evals;
+            }
+            assert_eq!(
+                (total.hops, total.dist_evals, h.finish().0 as u64),
+                (hops, dist_evals, answers),
+                "fixture {name}"
+            );
+        }
+    }
+
+    /// `true` for about a `frac` share of ids, scattered by a
+    /// multiplicative hash.
+    fn tombstoned(id: usize, frac: f64) -> bool {
+        let h = (id as u64 ^ 0x7011_B570).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((h >> 11) as f64 / (1u64 << 53) as f64) < frac
+    }
+
+    #[test]
+    fn filtered_walk_returns_only_accepted_ids() {
+        let pts = cloud(800, 8, 0xDEAD);
+        let graph = Hnsw::build(&pts, HnswParams::default());
+        let alive = |id: usize| !tombstoned(id, 0.25);
+        for qi in [0, 1, 400, 799] {
+            let q = &pts[qi];
+            let got = graph.knn_with_ef_where(q, 30, 64, alive);
+            assert_eq!(got.len(), 30, "query {qi}");
+            assert!(got.iter().all(|&id| alive(id)), "query {qi}: {got:?}");
+            // As wide as the graph, the walk finds the exact alive top-k.
+            let mut exact: Vec<usize> = (0..pts.len()).filter(|&id| alive(id)).collect();
+            exact.sort_by(|&a, &b| {
+                let (da, db) = (dist_sq(&pts[a], q), dist_sq(&pts[b], q));
+                da.total_cmp(&db).then(a.cmp(&b))
+            });
+            exact.truncate(30);
+            assert_eq!(graph.knn_with_ef_where(q, 30, 800, alive), exact);
+        }
+        // With exactly `k` accepted ids, a narrow walk keeps crossing the
+        // rejected ones until it has them all (the query's own id among
+        // the rejected).
+        let few: Vec<usize> = (0..pts.len()).step_by(50).collect();
+        let mut got = graph.knn_with_ef_where(&pts[3], few.len(), 8, |id| id % 50 == 0);
+        got.sort_unstable();
+        assert_eq!(got, few);
+    }
+
+    #[test]
+    fn filtered_walk_work_does_not_grow_with_tombstones() {
+        // A filtered walk scores about `1 / alive share` times the nodes a
+        // clean one does, at most 1.43× below the 0.3 rebuild threshold
+        // the epoch seed applies; 1.5× leaves room for the graph's shape.
+        // Asking an unfiltered walk for `k + dead` ids instead (the
+        // post-filter alternative) widens its beam with every tombstone.
+        const FACTOR: f64 = 1.5;
+        let pts = cloud(2_000, 8, 0x70B5);
+        let graph = Hnsw::build(&pts, HnswParams::default());
+        let (k, ef) = (100, 64);
+        let evals = |k: usize, keep: &dyn Fn(usize) -> bool| -> usize {
+            [7, 500, 1_000, 1_999]
+                .iter()
+                .map(|&qi| graph.search(&pts[qi], k, ef, keep).1.dist_evals)
+                .sum()
+        };
+        let clean = evals(k, &|_| true);
+        let mut last_overfetch = clean;
+        for frac in [0.10, 0.20, 0.29] {
+            let dead = (0..pts.len()).filter(|&id| tombstoned(id, frac)).count();
+            let filtered = evals(k, &|id| !tombstoned(id, frac));
+            assert!(
+                filtered as f64 <= FACTOR * clean as f64,
+                "{frac}: filtered walk {filtered} vs clean {clean} distance evaluations"
+            );
+            let overfetch = evals(k + dead, &|_| true);
+            assert!(
+                overfetch > last_overfetch && overfetch > filtered,
+                "{frac}: over-fetch {overfetch} after {last_overfetch}, filtered {filtered}"
+            );
+            last_overfetch = overfetch;
         }
     }
 

@@ -11,7 +11,7 @@
 //! changing a single output bit: kernel columns are evaluated with
 //! [`Isa::gaussian_prep`] (exactly-rounded ops; `exp` stays scalar libm),
 //! and outer products land on the grid through `axpy` passes. Points are
-//! processed in blocks of [`KDE_BLOCK`] so one read-modify-write pass over
+//! processed in blocks of `KDE_BLOCK` so one read-modify-write pass over
 //! a grid row applies eight points' contributions ([`Isa::axpy8`]); cells
 //! outside a point's support receive `+0.0`, which leaves a non-negative
 //! accumulator bit-unchanged, so the blocked schedule equals the

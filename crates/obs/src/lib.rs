@@ -10,7 +10,7 @@
 //! visibility before any further performance work can be measured honestly.
 //! This crate provides:
 //!
-//! 1. **Hierarchical spans** with monotonic timings: [`span`] returns an
+//! 1. **Hierarchical spans** with monotonic timings: [`span()`] returns an
 //!    RAII guard; nested spans form a tree keyed by `/`-joined paths
 //!    (`search.session/search.major/search.minor/kde.profile/...`).
 //! 2. **Typed counters, gauges and histograms**: [`counter`], [`gauge`],
@@ -149,7 +149,7 @@ fn with(f: impl FnOnce(&dyn Recorder)) {
     }
 }
 
-/// RAII guard of one open span: created by [`span`], closes (and records
+/// RAII guard of one open span: created by [`span()`], closes (and records
 /// its elapsed monotonic time) on drop. When telemetry is disabled the
 /// guard is inert — no clock is read.
 #[must_use = "a span measures the scope of its guard; bind it with `let _span = ...`"]
@@ -182,7 +182,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// `span!("kde.estimate_grid")` — sugar for [`span`], mirroring the
+/// `span!("kde.estimate_grid")` — sugar for [`span()`], mirroring the
 /// `tracing` crate's macro style. Bind the result: the span lasts as long
 /// as the guard.
 #[macro_export]

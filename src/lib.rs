@@ -107,16 +107,18 @@ pub use hinn_serve as serve;
 pub use hinn_user as user;
 pub use hinn_viz as viz;
 
-/// The types nearly every `hinn` program touches, importable in one line:
-/// configure a search ([`SearchConfig`]), run it against a user model
-/// ([`InteractiveSearch::run_with`] / [`HeuristicUser`]), drive it
-/// step-by-step ([`SessionEngine`] / [`Step`] / [`UserResponse`]), or
-/// serve many sessions at once ([`SessionManager`] / [`ServeConfig`]).
-///
-/// ```
-/// use hinn::prelude::*;
-/// ```
 pub mod prelude {
+    //! The types nearly every `hinn` program touches, importable in one
+    //! line: configure a search ([`SearchConfig`]), run it against a user
+    //! model ([`InteractiveSearch::run_with`] / [`HeuristicUser`]), drive
+    //! it step-by-step ([`SessionEngine`] / [`Step`] / [`UserResponse`]),
+    //! or serve many sessions at once ([`SessionManager`] /
+    //! [`ServeConfig`]).
+    //!
+    //! ```
+    //! use hinn::prelude::*;
+    //! ```
+
     pub use hinn_core::{
         BatchRunner, CandidateSource, DatasetHandle, EpochError, EpochSnapshot, HinnError,
         InteractiveSearch, Parallelism, ProjectionMode, RunOptions, RunOutput, SearchConfig,

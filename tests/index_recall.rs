@@ -10,8 +10,11 @@
 
 mod common;
 
-use common::recall::{gaussian_mixture, mean_recall, spread_queries, uniform_cloud};
+use common::recall::{
+    exact_top_k, gaussian_mixture, mean_recall, spread_queries, uniform_cloud, xorshift,
+};
 use hinn::core::CandidateSource;
+use hinn::index::recall::recall_at_k;
 use hinn::index::{Hnsw, HnswParams};
 
 /// Queries per fixture: enough to average out per-query variance while
@@ -20,16 +23,22 @@ const N_QUERIES: usize = 25;
 const N: usize = 10_000;
 const K: usize = 10;
 
-fn assert_recall_at_least(points: Vec<Vec<f64>>, floor: f64, label: &str) {
-    let queries = spread_queries(points.len(), N_QUERIES);
-    // Lighter build than the default (the tier-1 suite runs this in the
-    // debug profile); the wider search list keeps recall comfortably
-    // above the floor.
-    let params = HnswParams::default()
+/// Lighter build than the default (the tier-1 suite runs this in the
+/// debug profile); the wider search list keeps recall comfortably above
+/// the floor.
+fn params() -> HnswParams {
+    HnswParams::default()
         .with_m(12)
         .with_ef_construction(60)
-        .with_ef_search(200);
-    let source = CandidateSource::Hnsw { params, budget: K };
+        .with_ef_search(200)
+}
+
+fn assert_recall_at_least(points: Vec<Vec<f64>>, floor: f64, label: &str) {
+    let queries = spread_queries(points.len(), N_QUERIES);
+    let source = CandidateSource::Hnsw {
+        params: params(),
+        budget: K,
+    };
     let recall = mean_recall(&source, &points, &queries, K);
     assert!(
         recall >= floor,
@@ -63,6 +72,39 @@ fn recall_uniform_d16() {
 #[test]
 fn recall_uniform_d64() {
     assert_recall_at_least(uniform_cloud(N, 64, 0xA5EED04), 0.9, "uniform d=64");
+}
+
+/// Recall under deletes: a quarter of a uniform cloud tombstoned and the
+/// graph walked with the tombstones as its filter, as the epoch seed
+/// walks it, against the exact top-k over the alive points.
+#[test]
+fn recall_uniform_d16_with_a_quarter_tombstoned() {
+    let points = uniform_cloud(N, 16, 0xA5EED06);
+    let mut unif = xorshift(0xDE1E7E);
+    let dead: Vec<bool> = (0..N).map(|_| unif() < 0.25).collect();
+    let alive = |id: usize| !dead[id];
+    let graph = Hnsw::build(&points, params());
+    let queries = spread_queries(N, N_QUERIES);
+    let sum: f64 = queries
+        .iter()
+        .map(|&qi| {
+            let q = &points[qi];
+            let exact: Vec<usize> = exact_top_k(&points, q, N)
+                .into_iter()
+                .filter(|&id| alive(id))
+                .take(K)
+                .collect();
+            let approx = graph.knn_with_ef_where(q, K, params().ef_search, alive);
+            assert_eq!(approx.len(), K, "query {qi}");
+            assert!(approx.iter().all(|&id| alive(id)), "query {qi}: {approx:?}");
+            recall_at_k(&exact, &approx, K)
+        })
+        .sum();
+    let recall = sum / queries.len() as f64;
+    assert!(
+        recall >= 0.9,
+        "25% tombstoned: HNSW recall@{K} = {recall:.3} < 0.9"
+    );
 }
 
 /// Harness self-check: the exact sources score a perfect 1.0 — if this
