@@ -135,26 +135,6 @@ impl VaFile {
         &self.points[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// The shared, memoized index of the dataset of `artifacts`: built
-    /// from `rows()` at most once per (dataset fingerprint, `bits`)
-    /// process-wide, so batch harnesses amortize the O(N·d log N) build,
-    /// and bit-identical to a fresh [`VaFile::build`] (a pure function of
-    /// `(points, bits)`). `rows` runs only on a miss.
-    ///
-    /// # Panics
-    /// Panics exactly as [`VaFile::build`] does on invalid input.
-    pub fn shared(
-        artifacts: &hinn_cache::DatasetArtifacts,
-        bits: u32,
-        rows: impl FnOnce() -> Vec<Vec<f64>>,
-    ) -> std::sync::Arc<Self> {
-        artifacts
-            .store()
-            .get_or_insert("baselines.vafile", u64::from(bits), || {
-                Self::build(rows(), bits)
-            })
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> usize {
         self.n
@@ -362,28 +342,6 @@ mod tests {
         (0..n)
             .map(|_| (0..d).map(|_| unif() * 100.0).collect())
             .collect()
-    }
-
-    #[test]
-    fn shared_index_is_memoized_per_bits_and_exact() {
-        let pts = random_points(200, 8, 11);
-        let arts = hinn_cache::DatasetArtifacts::for_points(&pts);
-        let a = VaFile::shared(&arts, 4, || pts.clone());
-        let b = VaFile::shared(&arts, 4, || unreachable!("memoized"));
-        assert!(
-            std::sync::Arc::ptr_eq(&a, &b),
-            "same dataset + bits must share one index"
-        );
-        let other = VaFile::shared(&arts, 5, || pts.clone());
-        assert!(
-            !std::sync::Arc::ptr_eq(&a, &other),
-            "different bits is a different artifact"
-        );
-        assert_eq!(other.bits(), 5);
-        // The shared index answers exactly like a fresh build.
-        let fresh = VaFile::build(pts.clone(), 4);
-        let q = &pts[17];
-        assert_eq!(a.knn(q, 9).0, fresh.knn(q, 9).0);
     }
 
     #[test]

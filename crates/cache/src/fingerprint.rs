@@ -8,8 +8,8 @@
 //! keys), which is the correctness argument for treating "same
 //! fingerprint" as "same input" throughout the workspace.
 
-/// A 128-bit content fingerprint. Construct with [`Fnv128`] or the
-/// convenience constructors.
+/// A 128-bit content fingerprint. Construct with [`Fnv128`] or
+/// [`Fingerprint::of_f64s`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u128);
 
@@ -19,18 +19,6 @@ impl Fingerprint {
         let mut h = Fnv128::new();
         h.write_usize(values.len());
         h.write_f64s(values);
-        h.finish()
-    }
-
-    /// Fingerprint of a point set: every coordinate's bit pattern plus the
-    /// outer and inner lengths (so `[[1.0],[2.0]]` ≠ `[[1.0,2.0]]`).
-    pub fn of_points(points: &[Vec<f64>]) -> Self {
-        let mut h = Fnv128::new();
-        h.write_usize(points.len());
-        for p in points {
-            h.write_usize(p.len());
-            h.write_f64s(p);
-        }
         h.finish()
     }
 }
@@ -133,9 +121,6 @@ mod tests {
 
     #[test]
     fn distinguishes_shapes() {
-        let a = Fingerprint::of_points(&[vec![1.0], vec![2.0]]);
-        let b = Fingerprint::of_points(&[vec![1.0, 2.0]]);
-        assert_ne!(a, b);
         assert_ne!(
             Fingerprint::of_f64s(&[]),
             Fingerprint::of_f64s(&[0.0]),
@@ -145,8 +130,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_calls() {
-        let pts = vec![vec![1.5, -2.25, 3.0], vec![0.1, 0.2, 0.3]];
-        assert_eq!(Fingerprint::of_points(&pts), Fingerprint::of_points(&pts));
+        let xs = [1.5, -2.25, 3.0, 0.1, 0.2, 0.3];
+        assert_eq!(Fingerprint::of_f64s(&xs), Fingerprint::of_f64s(&xs));
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   `cache.hit` / `cache.miss` / `cache.evict`.
 //! - [`pool`]: thread-local reuse of `Vec<f64>` scratch buffers for the
 //!   KDE hot loop (`p × p` partial grids and kernel row/column scratch).
-//! - [`DatasetArtifacts`]/[`ArtifactStore`]: a per-dataset store of
-//!   derived artifacts (the VA-file, the HNSW graph), computed once and
-//!   shared via `Arc` across all queries of a batch and across repeated
-//!   sessions on the same dataset (a bounded process-global registry
-//!   keyed by the dataset fingerprint).
+//! - [`ArtifactStore`]: a type-erased, insert-once store of derived
+//!   artifacts (the VA-file, the HNSW graph). Each epoch snapshot of a
+//!   dataset handle owns one, so an index is built once per epoch, shared
+//!   via `Arc` by every session pinned to it, and freed with the last
+//!   snapshot that holds it. There is no process-global registry.
 //!
 //! The interactive session itself keeps no shared cache. The engine
 //! replays a major iteration's views when the next major runs on the same
@@ -28,19 +28,20 @@
 //!
 //! # Determinism
 //!
-//! Every artifact is the output of a pure deterministic function and its
-//! key fingerprints *all* of that function's inputs (full `f64` bit
-//! patterns, never rounded). A hit therefore returns exactly what the
-//! miss path would have computed; the only thing scheduling can change is
-//! *which* entries are resident, and residency is unobservable in
-//! results.
+//! Every cached value is the output of a pure deterministic function of
+//! inputs its key pins down: an [`LruCache`] key fingerprints *all* of
+//! them (full `f64` bit patterns, never rounded), and an
+//! [`ArtifactStore`] key names the parameters while its owner fixes the
+//! rows. A hit therefore returns exactly what the miss path would have
+//! computed; the only thing scheduling can change is *which* entries are
+//! resident, and residency is unobservable in results.
 
 pub mod artifacts;
 pub mod fingerprint;
 pub mod lru;
 pub mod pool;
 
-pub use artifacts::{ArtifactStore, DatasetArtifacts};
+pub use artifacts::ArtifactStore;
 pub use fingerprint::{Fingerprint, Fnv128};
 pub use lru::LruCache;
 pub use pool::PooledF64;

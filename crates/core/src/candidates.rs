@@ -11,19 +11,28 @@
 //! sources by the workspace's `(distance, id)` total order, the HNSW
 //! source by the seeded-graph contract of `hinn-index` (fixed seed ⇒
 //! identical graph ⇒ identical candidates, across thread budgets and
-//! processes). The VA-file and HNSW sources route their index through
-//! [`hinn_cache::DatasetArtifacts`], so repeated sessions on one dataset
-//! share a single build. On a streaming epoch the HNSW graph spans every
-//! appended row, deleted ones included: its walk crosses tombstones but
-//! never returns them, so a seed asks for its budget and no more.
+//! processes). Every source reads a pinned [`EpochSnapshot`], and the
+//! VA-file and HNSW sources memoize their index in the snapshot's own
+//! [`artifacts`](EpochSnapshot::artifacts), so every session pinned to
+//! one epoch shares a single build and the index is freed with the
+//! epoch. The HNSW graph spans every appended row, deleted ones included:
+//! its walk crosses tombstones but never returns them, so a seed asks for
+//! its budget and no more. An epoch's graph grows out of the longest one
+//! its handle has built ([`EpochSnapshot::lineage`]), so an append costs
+//! the insertion of the new rows, not a rebuild.
 
 use crate::degrade::{DegradationEvent, DegradationKind};
 use crate::error::HinnError;
-use hinn_baselines::{knn_indices_by, knn_indices_with, Metric, VaFile};
-use hinn_cache::DatasetArtifacts;
+use hinn_baselines::{knn_indices_by, Metric, VaFile};
 use hinn_data::{EpochSnapshot, RowChunks};
 use hinn_index::{Hnsw, HnswParams};
 use hinn_par::Parallelism;
+use std::sync::Arc;
+
+/// Artifact name of the append-only HNSW graph over every appended row.
+const HNSW: &str = "index.hnsw";
+/// Artifact name of the HNSW graph rebuilt over the alive rows.
+const HNSW_ALIVE: &str = "index.hnsw.alive";
 
 /// Tombstone fraction (deleted / appended) beyond which the epoch HNSW
 /// seed abandons the incremental append-only graph and rebuilds over the
@@ -117,48 +126,48 @@ impl CandidateSource {
         }
     }
 
-    /// The top-`k` candidate ids for `query`, closest first. For the exact
-    /// sources this is the true Euclidean k-NN answer; for HNSW it is the
-    /// graph's approximation (measured by the recall harness). `Full`
-    /// degenerates to the linear scan — it has no budget of its own, so
-    /// `top_k` *is* the exact baseline.
+    /// The top-`k` candidate ids for `query` among the alive rows of
+    /// `snap`, as dense indices, closest first. For the exact sources this
+    /// is the true Euclidean k-NN answer; for HNSW it is the graph's
+    /// approximation (measured by the recall harness). `Full` degenerates
+    /// to the linear scan — it has no budget of its own, so `top_k` *is*
+    /// the exact baseline.
     ///
     /// # Panics
-    /// Panics on dimensionality mismatch or (first call per dataset)
+    /// Panics on dimensionality mismatch or (first call per epoch)
     /// invalid index-build input, exactly as the underlying index does.
     pub fn top_k(
         &self,
         par: Parallelism,
-        points: &[Vec<f64>],
+        snap: &EpochSnapshot,
         query: &[f64],
         k: usize,
     ) -> Vec<usize> {
+        let n = snap.len();
         match self {
-            Self::Full | Self::Linear { .. } => knn_indices_with(par, points, query, k, Metric::L2),
+            Self::Full | Self::Linear { .. } => {
+                knn_indices_by(par, n, |i| snap.alive_row(i), query, k, Metric::L2)
+            }
             Self::VaFile { bits, .. } => {
-                let arts = DatasetArtifacts::for_points(points);
-                VaFile::shared(&arts, *bits, || points.to_vec())
-                    .knn_with(par, query, k)
-                    .0
+                let build = || {
+                    let rows = (0..n).map(|i| snap.alive_row(i).to_vec()).collect();
+                    Arc::new(VaFile::build(rows, *bits))
+                };
+                let index =
+                    snap.artifacts()
+                        .get_or_insert("baselines.vafile", u64::from(*bits), build);
+                index.knn_with(par, query, k).0
             }
-            // `shared` canonicalizes the stored `ef_search` (every ef
-            // variant maps to one artifact slot), so the *session's*
-            // configured width must travel with the query — never read it
-            // back off the shared graph, whose params reflect no caller.
-            Self::Hnsw { params, .. } => {
-                Hnsw::shared(points, *params).knn_with_ef(query, k, params.ef_search)
-            }
+            Self::Hnsw { params, .. } => Self::epoch_hnsw_ids(snap, *params, query, k),
         }
     }
 
     /// The initial alive set of a session pinned to `snap`, as dense
     /// indices into its alive rows: every index for `Full`, else the
-    /// source's top-`budget` — clamped up to the effective support `s_eff`
-    /// (a candidate set smaller than the support would starve the
-    /// ranking) and down to `n` — returned sorted ascending, the order the
-    /// engine's alive set always maintains. The VA-file is shared per
-    /// epoch under the chained fingerprint, the HNSW graph per append
-    /// lineage ([`CandidateSource::epoch_hnsw_ids`]); nothing hashes rows.
+    /// source's [`top_k`](Self::top_k) of `budget` — clamped up to the
+    /// effective support `s_eff` (a candidate set smaller than the support
+    /// would starve the ranking) and down to `n` — returned sorted
+    /// ascending, the order the engine's alive set always maintains.
     ///
     /// The exact sources always deliver `min(budget, n)` ids, but the
     /// HNSW graph can return fewer: disconnected components are
@@ -181,18 +190,7 @@ impl CandidateSource {
             return ((0..n).collect(), None);
         }
         let budget = self.budget().unwrap_or(n).max(s_eff).min(n);
-        let linear = || knn_indices_by(par, n, |k| snap.alive_row(k), query, budget, Metric::L2);
-        let mut ids = match self {
-            Self::Full | Self::Linear { .. } => linear(),
-            Self::VaFile { bits, .. } => {
-                let arts = DatasetArtifacts::for_fingerprint(snap.fingerprint(), n, snap.dim());
-                let rows = || (0..n).map(|k| snap.alive_row(k).to_vec()).collect();
-                VaFile::shared(&arts, *bits, rows)
-                    .knn_with(par, query, budget)
-                    .0
-            }
-            Self::Hnsw { params, .. } => Self::epoch_hnsw_ids(snap, *params, query, budget),
-        };
+        let mut ids = self.top_k(par, snap, query, budget);
         let floor = s_eff.max(2).min(n);
         let event = (ids.len() < floor).then(|| {
             let detail = format!(
@@ -203,39 +201,38 @@ impl CandidateSource {
                 budget,
                 floor,
             );
-            ids = linear();
+            ids = Self::Full.top_k(par, snap, query, budget);
             DegradationEvent::unplaced(DegradationKind::StarvedSeed, detail)
         });
         ids.sort_unstable();
         (ids, event)
     }
 
-    /// The epoch HNSW walk: top-`budget` *dense* (alive) indices.
+    /// The epoch HNSW walk: top-`k` *dense* (alive) indices.
     ///
-    /// The graph is keyed by the snapshot's *append* fingerprint chain, so
-    /// epochs that differ only by deletes share one graph, and each append
-    /// batch extends the predecessor's graph in place of a rebuild
-    /// (bit-identical to a one-shot build — see `Hnsw::extended`). The
-    /// graph reads its points from the snapshot's own row chunks. Deletes
-    /// filter inside the walk: tombstones bridge it to their neighbors but
-    /// take no result slot, so the walk asks for exactly `budget` ids and
-    /// costs about what it would with no deletes
-    /// ([`Hnsw::knn_with_ef_where`]); past [`REBUILD_TOMBSTONE_FRACTION`]
-    /// the seed rebuilds over the alive rows, keyed by the full chained
-    /// fingerprint.
+    /// The graph covers every row the snapshot ever appended and reads
+    /// them from the snapshot's own row chunks; it is memoized on the
+    /// snapshot, so epochs pinned by live sessions keep theirs (see
+    /// [`lineage_graph`]). Deletes filter inside the walk: tombstones
+    /// bridge it to their neighbors but take no result slot, so the walk
+    /// asks for exactly `k` ids and costs about what it would with no
+    /// deletes ([`Hnsw::knn_with_ef_where`]); past
+    /// [`REBUILD_TOMBSTONE_FRACTION`] the seed rebuilds over the alive
+    /// rows instead, memoized on the snapshot too.
+    ///
+    /// Every `ef_search` variant shares one graph, built with the default
+    /// width so it remembers no caller's; the session's width travels
+    /// with the query.
     fn epoch_hnsw_ids(
         snap: &EpochSnapshot,
         params: HnswParams,
         query: &[f64],
-        budget: usize,
+        k: usize,
     ) -> Vec<usize> {
         let appended = snap.appended_len();
         if appended == 0 {
             return Vec::new();
         }
-        // Same canonicalization as `Hnsw::shared`: every `ef_search`
-        // variant maps to one artifact slot, and the session's width
-        // travels with the query.
         let canon = HnswParams {
             ef_search: HnswParams::default().ef_search,
             ..params
@@ -243,45 +240,28 @@ impl CandidateSource {
         let key = canon.key();
         let dead = snap.tombstone_count();
         if dead as f64 > REBUILD_TOMBSTONE_FRACTION * appended as f64 {
-            // Heavily tombstoned: rebuild over the alive rows, keyed by the
-            // full chained fingerprint (appends *and* deletes), so the
-            // graph itself carries no tombstones.
+            // Heavily tombstoned: a graph over the alive rows only, so the
+            // walk crosses no tombstones and its ids are already dense.
             let build = || {
-                let alive: Vec<&[f64]> = (0..snap.len()).map(|k| snap.alive_row(k)).collect();
-                Hnsw::build_rows(&RowChunks::from_rows(&alive), canon)
+                let alive: Vec<&[f64]> = (0..snap.len()).map(|i| snap.alive_row(i)).collect();
+                Arc::new(Hnsw::build_rows(&RowChunks::from_rows(&alive), canon))
             };
-            return DatasetArtifacts::for_fingerprint(snap.fingerprint(), snap.len(), snap.dim())
-                .store()
-                .get_or_insert("index.hnsw", key, build)
-                .knn_with_ef(query, budget, params.ef_search);
+            return snap
+                .artifacts()
+                .get_or_insert(HNSW_ALIVE, key, build)
+                .knn_with_ef(query, k, params.ef_search);
         }
-        // Incremental path: one graph over all appended rows, extended
-        // from the predecessor epoch's graph when the registry still holds
-        // it (a pure optimization — the extension is bit-identical to the
-        // fallback one-shot build, so cache residency never changes ids).
-        // Either way the graph shares the snapshot's rows and copies none.
-        let build = || {
-            let rows = snap.row_chunks();
-            snap.prev_append_fingerprint()
-                .and_then(DatasetArtifacts::lookup)
-                .and_then(|prev| prev.store().get::<Hnsw>("index.hnsw", key))
-                .map(|prev_graph| prev_graph.extended(rows))
-                .unwrap_or_else(|| Hnsw::build_rows(rows, canon))
-        };
-        let graph =
-            DatasetArtifacts::for_fingerprint(snap.append_fingerprint(), appended, snap.dim())
-                .store()
-                .get_or_insert("index.hnsw", key, build);
+        let graph = snap
+            .artifacts()
+            .get_or_insert(HNSW, key, || lineage_graph(snap, canon, key));
         // The walk returns alive global ids only; map them to dense ones
         // (`dense_index_of` is `None` exactly for tombstoned ids). With no
         // tombstones the filter is skipped: the same ids, but the bitmap
         // probe per admitted node cost about 10 % of a 400-id walk.
         let ids = if dead == 0 {
-            graph.knn_with_ef(query, budget, params.ef_search)
+            graph.knn_with_ef(query, k, params.ef_search)
         } else {
-            graph.knn_with_ef_where(query, budget, params.ef_search, |gid| {
-                !snap.is_tombstoned(gid)
-            })
+            graph.knn_with_ef_where(query, k, params.ef_search, |gid| !snap.is_tombstoned(gid))
         };
         ids.into_iter()
             .filter_map(|gid| snap.dense_index_of(gid))
@@ -289,10 +269,29 @@ impl CandidateSource {
     }
 }
 
+/// The graph over every row `snap` ever appended. The handle's lineage
+/// holds the longest graph any of its snapshots has built; a handle only
+/// appends, so when that graph is no longer than `snap` it covers a
+/// prefix of `snap`'s rows and is shared as is or extended by the rows
+/// after it (bit-identical to a one-shot build — see [`Hnsw::extended`]),
+/// and the result goes back to the lineage if it is longer. A snapshot
+/// older than the lineage's graph builds its own from scratch.
+fn lineage_graph(snap: &EpochSnapshot, canon: HnswParams, key: u64) -> Arc<Hnsw> {
+    let rows = snap.row_chunks();
+    let graph = match snap.lineage().get::<Hnsw>(HNSW, key) {
+        Some(held) if held.len() == rows.len() => return held,
+        Some(held) if held.len() < rows.len() => Arc::new(held.extended(rows)),
+        _ => Arc::new(Hnsw::build_rows(rows, canon)),
+    };
+    snap.lineage()
+        .replace_if(HNSW, key, &graph, |held: &Hnsw| held.len() < graph.len());
+    graph
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use hinn_data::DatasetHandle;
 
     fn cloud(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut state = seed | 1;
@@ -340,28 +339,32 @@ mod tests {
         assert!(CandidateSource::hnsw(50).try_validate().is_ok());
     }
 
+    /// The current snapshot of a handle seeded with `pts`.
+    fn snapshot(pts: &[Vec<f64>]) -> Arc<EpochSnapshot> {
+        DatasetHandle::new(pts).expect("clean rows").snapshot()
+    }
+
+    /// The memoized incremental graph of `snap` under `params`, if any.
+    fn memoized_graph(snap: &EpochSnapshot, params: HnswParams) -> Option<Arc<Hnsw>> {
+        snap.artifacts().get::<Hnsw>(HNSW, params.key())
+    }
+
     #[test]
     fn exact_sources_agree_on_top_k() {
         let pts = cloud(300, 6, 0x11);
+        let snap = snapshot(&pts);
         let q = pts[7].clone();
         let par = Parallelism::serial();
-        let full = CandidateSource::Full.top_k(par, &pts, &q, 25);
-        let lin = CandidateSource::Linear { budget: 25 }.top_k(par, &pts, &q, 25);
+        let full = CandidateSource::Full.top_k(par, &snap, &q, 25);
+        let lin = CandidateSource::Linear { budget: 25 }.top_k(par, &snap, &q, 25);
         let va = CandidateSource::VaFile {
             bits: 4,
             budget: 25,
         }
-        .top_k(par, &pts, &q, 25);
+        .top_k(par, &snap, &q, 25);
         assert_eq!(full, lin);
         assert_eq!(full, va);
         assert_eq!(full[0], 7, "self-query returns self first");
-    }
-
-    /// The current snapshot of a handle seeded with `pts`.
-    fn snapshot(pts: &[Vec<f64>]) -> Arc<EpochSnapshot> {
-        hinn_data::DatasetHandle::new(pts)
-            .expect("clean rows")
-            .snapshot()
     }
 
     #[test]
@@ -425,7 +428,6 @@ mod tests {
 
     #[test]
     fn epoch_hnsw_seed_is_chunking_invariant_and_filters_tombstones() {
-        use hinn_data::DatasetHandle;
         let pts = cloud(300, 6, 0x66);
         let q = pts[3].clone();
         let src = CandidateSource::hnsw(40);
@@ -476,40 +478,32 @@ mod tests {
 
     #[test]
     fn epoch_hnsw_graph_extends_across_appends() {
-        use hinn_data::DatasetHandle;
         let pts = cloud(236, 5, 0x99);
         let q = pts[17].clone();
-        // A build seed no other test uses: every graph in the registry
-        // under these params was registered by this test.
-        let params = HnswParams::default().with_seed(0xE7E7_0013);
-        let canon = HnswParams {
-            ef_search: HnswParams::default().ef_search,
-            ..params
-        };
+        let params = HnswParams::default();
         let src = CandidateSource::Hnsw { params, budget: 30 };
-        let registered = |snap: &EpochSnapshot| {
-            DatasetArtifacts::lookup(snap.append_fingerprint())
-                .and_then(|arts| arts.store().get::<Hnsw>("index.hnsw", canon.key()))
-        };
         let handle = DatasetHandle::empty(5).expect("dim");
         let mut stop = 0;
         for (k, len) in [120, 40, 1, 75].into_iter().enumerate() {
             let prev = handle.snapshot();
             if k > 0 {
-                // The predecessor's graph is still registered, so this
+                // The predecessor's graph is the handle's longest, so this
                 // epoch's seed extends it instead of building cold.
-                assert!(registered(&prev).is_some(), "epoch {k}: no graph to extend");
+                let held = prev.lineage().get::<Hnsw>(HNSW, params.key());
+                let held = held.unwrap_or_else(|| panic!("epoch {k}: no graph to extend"));
+                let own = memoized_graph(&prev, params).expect("graph memoized");
+                assert!(Arc::ptr_eq(&held, &own));
             }
             stop += len;
             let snap = handle.append(&pts[stop - len..stop]).expect("clean rows");
             let (seed, event) = src.seed_alive(Parallelism::serial(), &snap, &q, 10);
             assert!(event.is_none());
             // The same seed as a one-shot graph over the same rows.
-            let reference = Hnsw::build(&pts[..stop], canon);
+            let reference = Hnsw::build(&pts[..stop], params);
             let mut expected = reference.knn_with_ef(&q, 30, params.ef_search);
             expected.sort_unstable();
             assert_eq!(seed, expected, "epoch {k}: seed differs from a cold build");
-            let graph = registered(&snap).expect("graph registered");
+            let graph = memoized_graph(&snap, params).expect("graph memoized");
             assert_eq!(graph.len(), stop);
             assert_eq!(
                 graph.digest(),
@@ -520,8 +514,98 @@ mod tests {
     }
 
     #[test]
+    fn epochs_that_only_delete_share_their_predecessors_graph() {
+        let pts = cloud(180, 4, 0x9B);
+        let src = CandidateSource::hnsw(20);
+        let handle = DatasetHandle::new(&pts).expect("clean rows");
+        let before = handle.snapshot();
+        let after = handle.delete(&[3, 4]).expect("known ids");
+        for snap in [&before, &after] {
+            src.seed_alive(Parallelism::serial(), snap, &pts[0], 10);
+        }
+        let params = HnswParams::default();
+        let (a, b) = (
+            memoized_graph(&before, params),
+            memoized_graph(&after, params),
+        );
+        assert!(
+            Arc::ptr_eq(&a.unwrap(), &b.unwrap()),
+            "a delete copies no graph"
+        );
+    }
+
+    #[test]
+    fn older_snapshot_seeded_after_a_longer_graph_builds_its_own() {
+        let pts = cloud(260, 5, 0x9C);
+        let q = pts[40].clone();
+        let params = HnswParams::default();
+        let src = CandidateSource::Hnsw { params, budget: 25 };
+        let par = Parallelism::serial();
+        let handle = DatasetHandle::new(&pts[..200]).expect("clean rows");
+        // Pinned but never seeded while the handle grows past it.
+        let older = handle.snapshot();
+        let newer = handle.append(&pts[200..]).expect("clean rows");
+        src.seed_alive(par, &newer, &q, 10);
+        let (seed, event) = src.seed_alive(par, &older, &q, 10);
+        assert!(event.is_none());
+        let cold = Hnsw::build(&pts[..200], params);
+        let mut expected = cold.knn_with_ef(&q, 25, params.ef_search);
+        expected.sort_unstable();
+        assert_eq!(
+            seed, expected,
+            "the older epoch's seed differs from a cold build"
+        );
+        let own = memoized_graph(&older, params).expect("memoized on the older snapshot");
+        assert_eq!(own.digest(), cold.digest());
+        // The lineage keeps the longer graph.
+        let held = older.lineage().get::<Hnsw>(HNSW, params.key());
+        assert_eq!(held.expect("lineage graph").len(), 260);
+    }
+
+    #[test]
+    fn hnsw_sources_differing_only_in_search_width_share_one_graph() {
+        // One source asks for a deliberately starved ef_search, the other
+        // for a width as large as the data. Seeded on one snapshot in
+        // either order, they share one graph and each walks at its own
+        // width: the width is a per-query argument, not a property of
+        // whichever source built the graph.
+        let pts = cloud(300, 6, 0xC0FF_EE02);
+        let params = HnswParams::default();
+        let narrow = CandidateSource::Hnsw {
+            params: params.with_ef_search(1),
+            budget: 10,
+        };
+        let wide = CandidateSource::Hnsw {
+            params: params.with_ef_search(300),
+            budget: 10,
+        };
+        let par = Parallelism::serial();
+        for order in [[&narrow, &wide], [&wide, &narrow]] {
+            let snap = snapshot(&pts);
+            for src in order {
+                for qi in [0, 150, 299] {
+                    src.top_k(par, &snap, &pts[qi], 10);
+                }
+            }
+            assert_eq!(snap.artifacts().len(), 1, "one graph for both widths");
+            let graph = memoized_graph(&snap, params).expect("graph memoized");
+            assert_eq!(graph.params().ef_search, params.ef_search);
+            for qi in [0, 150, 299] {
+                let q = &pts[qi];
+                // ef = n degenerates to an exhaustive scan of the
+                // component, so the wide answer is the exact k-NN one.
+                let got = wide.top_k(par, &snap, q, 10);
+                assert_eq!(got, CandidateSource::Full.top_k(par, &snap, q, 10));
+                let own = Hnsw::build(&pts, params.with_ef_search(300)).knn(q, 10);
+                assert_eq!(got, own, "query {qi}");
+                let starved = Hnsw::build(&pts, params.with_ef_search(1)).knn(q, 10);
+                assert_eq!(narrow.top_k(par, &snap, q, 10), starved, "query {qi}");
+            }
+        }
+    }
+
+    #[test]
     fn epoch_hnsw_seed_rebuilds_past_the_tombstone_threshold() {
-        use hinn_data::DatasetHandle;
         let pts = cloud(200, 5, 0x77);
         let q = pts[2].clone();
         let handle = DatasetHandle::new(&pts).expect("clean rows");
@@ -544,14 +628,14 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..snap.len())
             .map(|k| snap.alive_row(k).to_vec())
             .collect();
-        let mut expected = CandidateSource::hnsw(30).top_k(Parallelism::serial(), &rows, &q, 30);
+        let mut expected =
+            CandidateSource::hnsw(30).top_k(Parallelism::serial(), &snapshot(&rows), &q, 30);
         expected.sort_unstable();
         assert_eq!(a, expected);
     }
 
     #[test]
     fn epoch_exact_sources_match_top_k_over_the_alive_rows() {
-        use hinn_data::DatasetHandle;
         let pts = cloud(120, 4, 0x88);
         let q = pts[0].clone();
         let handle = DatasetHandle::new(&pts).expect("clean rows");
@@ -571,7 +655,7 @@ mod tests {
             },
         ] {
             let (seed, event) = src.seed_alive(par, &snap, &q, 10);
-            let mut expected = src.top_k(par, &rows, &q, 25);
+            let mut expected = src.top_k(par, &snapshot(&rows), &q, 25);
             expected.sort_unstable();
             assert_eq!(seed, expected, "{src:?}");
             assert!(event.is_none());
@@ -580,7 +664,6 @@ mod tests {
 
     #[test]
     fn epoch_vafile_seed_is_shared_per_epoch() {
-        use hinn_data::DatasetHandle;
         let pts = cloud(150, 4, 0x8A);
         let q = pts[5].clone();
         let handle = DatasetHandle::new(&pts).expect("clean rows");
@@ -588,20 +671,19 @@ mod tests {
             bits: 5,
             budget: 20,
         };
-        let registered = |snap: &EpochSnapshot| {
-            DatasetArtifacts::lookup(snap.fingerprint())
-                .map(|arts| VaFile::shared(&arts, 5, || panic!("not registered")))
-        };
+        let memoized = |snap: &EpochSnapshot| snap.artifacts().get::<VaFile>("baselines.vafile", 5);
         for snap in [
             handle.snapshot(),
             handle.delete(&[0, 1]).expect("known ids"),
         ] {
             let (seed, _) = src.seed_alive(Parallelism::serial(), &snap, &q, 10);
             assert_eq!(seed.len(), 20);
-            // Registered under the epoch's own fingerprint, over its alive
-            // rows: a delete moves the key on.
-            let index = registered(&snap).expect("keyed by the epoch fingerprint");
+            // Memoized on the epoch itself, over its alive rows: a delete
+            // starts a new index.
+            let index = memoized(&snap).expect("memoized on the snapshot");
             assert_eq!(index.len(), snap.len());
+            src.seed_alive(Parallelism::serial(), &snap, &q, 10);
+            assert!(Arc::ptr_eq(&index, &memoized(&snap).expect("kept")));
         }
     }
 }

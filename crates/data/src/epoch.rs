@@ -14,7 +14,8 @@
 //!   global id, in a [`RowChunks`] store whose full chunks are shared with
 //!   the predecessor epoch; the ascending alive ids (a pinned session's
 //!   point `k` is [`EpochSnapshot::alive_row`]`(k)`); a tombstone bitmap
-//!   over global ids; and the epoch-chained fingerprints. An append
+//!   over global ids; the epoch-chained fingerprint; and the indexes
+//!   derived from its rows (see below). An append
 //!   copies the new rows and at most one partly filled chunk, a delete
 //!   copies no rows. What stays O(N) per mutation is the alive-id list
 //!   (8 B per row), the tombstone bitmap (1 bit per row) and the chunk
@@ -35,15 +36,23 @@
 //! so `append(&[a, b])` and `append(&[a]); append(&[b])` land on the
 //! *same* fingerprint, epoch number (the count of row-operations), and
 //! alive rows — the property the epoch determinism suite pins
-//! bit-for-bit. The chain deliberately differs from
-//! `Fingerprint::of_points` (which writes the outer length first and so
-//! cannot be prefix-folded); it generalizes the session layer's
-//! alive-set chaining to dataset mutations. A second, append-only chain
-//! ([`EpochSnapshot::append_fingerprint`]) ignores deletes; the shared
-//! HNSW graph keys on it so tombstones do not force a graph rebuild.
+//! bit-for-bit. It generalizes the session layer's alive-set chaining to
+//! dataset mutations.
+//!
+//! # Derived indexes live on the snapshot
+//!
+//! Each snapshot owns an [`ArtifactStore`] ([`EpochSnapshot::artifacts`])
+//! where the candidate layer memoizes the indexes it derives from that
+//! epoch's rows: built by the first session pinned to it, shared by the
+//! rest, freed with the snapshot. All snapshots of one handle also share
+//! a second store ([`EpochSnapshot::lineage`]) that keeps, per index kind
+//! and parameters, the longest append-only index any of them has built.
+//! A handle only ever appends, so an index in the lineage store that is
+//! no longer than a snapshot covers a prefix of that snapshot's rows, and
+//! the snapshot's own index extends it instead of starting over.
 
 use crate::RowChunks;
-use hinn_cache::{Fingerprint, Fnv128};
+use hinn_cache::{ArtifactStore, Fingerprint, Fnv128};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -103,9 +112,9 @@ impl std::error::Error for EpochError {}
 
 /// One frozen epoch of a streaming dataset: every row ever appended, by
 /// global id, in shared copy-on-write chunks; the alive ids; a tombstone
-/// bitmap over global ids; and the chained fingerprints. Cheap to clone
-/// behind an `Arc`; sessions pin one at open and keep it for their whole
-/// life.
+/// bitmap over global ids; the chained fingerprint; and the indexes
+/// derived from those rows. Cheap to clone behind an `Arc`; sessions pin
+/// one at open and keep it for their whole life.
 #[derive(Debug)]
 pub struct EpochSnapshot {
     /// Row-operations applied since genesis (appended rows + deleted
@@ -124,12 +133,11 @@ pub struct EpochSnapshot {
     /// The full epoch chain (appends *and* deletes) — the snapshot's
     /// identity, and the dataset fingerprint epoch-pinned sessions use.
     fp: Fingerprint,
-    /// The append-only chain — the HNSW graph lineage key.
-    append_fp: Fingerprint,
-    /// The append-only chain *before* this epoch's most recent append
-    /// batch, so an index can extend its predecessor's graph instead of
-    /// rebuilding.
-    prev_append_fp: Option<Fingerprint>,
+    /// Indexes derived from this epoch's rows.
+    artifacts: ArtifactStore,
+    /// Shared by every snapshot of the handle: the longest append-only
+    /// index of each kind built so far.
+    lineage: Arc<ArtifactStore>,
 }
 
 impl EpochSnapshot {
@@ -141,15 +149,14 @@ impl EpochSnapshot {
         let mut h = Fnv128::new();
         h.write_str("hinn-epoch-genesis");
         h.write_usize(dim);
-        let fp = h.finish();
         Ok(Self {
             epoch: 0,
             rows: RowChunks::new(dim),
             alive_ids: Vec::new(),
             tombstones: Vec::new(),
-            fp,
-            append_fp: fp,
-            prev_append_fp: None,
+            fp: h.finish(),
+            artifacts: ArtifactStore::new(),
+            lineage: Arc::default(),
         })
     }
 
@@ -198,16 +205,17 @@ impl EpochSnapshot {
         self.fp
     }
 
-    /// The append-only chain (deletes excluded) — the lineage key for
-    /// incremental index structures.
-    pub fn append_fingerprint(&self) -> Fingerprint {
-        self.append_fp
+    /// Indexes derived from this epoch's rows, memoized for every
+    /// session pinned to it (see the module docs).
+    pub fn artifacts(&self) -> &ArtifactStore {
+        &self.artifacts
     }
 
-    /// The append-only chain before this epoch's latest append batch, if
-    /// any batch was ever appended.
-    pub fn prev_append_fingerprint(&self) -> Option<Fingerprint> {
-        self.prev_append_fp
+    /// The store every snapshot of this handle shares: per index kind
+    /// and parameters, the longest append-only index built so far (see
+    /// the module docs).
+    pub fn lineage(&self) -> &ArtifactStore {
+        &self.lineage
     }
 
     /// Every row ever appended, by global id (tombstoned included) — for
@@ -269,12 +277,7 @@ impl EpochSnapshot {
         if rows.is_empty() {
             return Ok(None);
         }
-        let mut fp = self.fp;
-        let mut append_fp = self.append_fp;
-        for row in rows {
-            fp = chain_append(fp, row);
-            append_fp = chain_append(append_fp, row);
-        }
+        let fp = rows.iter().fold(self.fp, |fp, row| chain_append(fp, row));
         let (old, new) = (self.appended_len(), self.appended_len() + rows.len());
         let mut alive_ids = Vec::with_capacity(self.len() + rows.len());
         alive_ids.extend_from_slice(&self.alive_ids);
@@ -287,8 +290,8 @@ impl EpochSnapshot {
             alive_ids,
             tombstones,
             fp,
-            append_fp,
-            prev_append_fp: Some(self.append_fp),
+            artifacts: ArtifactStore::new(),
+            lineage: Arc::clone(&self.lineage),
         }))
     }
 
@@ -327,8 +330,8 @@ impl EpochSnapshot {
             alive_ids,
             tombstones,
             fp,
-            append_fp: self.append_fp,
-            prev_append_fp: self.prev_append_fp,
+            artifacts: ArtifactStore::new(),
+            lineage: Arc::clone(&self.lineage),
         }))
     }
 }
@@ -480,7 +483,6 @@ mod tests {
         }
         let (a, b) = (batched.snapshot(), chunked.snapshot());
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.append_fingerprint(), b.append_fingerprint());
         assert_eq!(a.epoch(), b.epoch());
         assert_eq!(a.len(), b.len());
         assert_same_rows(&a, &b);

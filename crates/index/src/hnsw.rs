@@ -15,7 +15,7 @@ const MAX_LEVEL: usize = 32;
 /// Build and search parameters of an [`Hnsw`] graph.
 ///
 /// All fields are integers on purpose: the parameter set is hashed (into
-/// the artifact-registry key and the engine's config fingerprint) via its
+/// the artifact key and the engine's config fingerprint) via its
 /// `Debug` rendering, which is exact for integers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HnswParams {
@@ -92,15 +92,16 @@ impl HnswParams {
         1.0 / (self.m as f64).ln()
     }
 
-    /// The artifact-registry key parameter: a 64-bit fold of every field,
-    /// so distinct parameter sets get distinct `("index.hnsw", key)` slots.
+    /// The artifact key parameter: a 64-bit fold of every build field, so
+    /// distinct build parameters get distinct `("index.hnsw", key)` slots
+    /// in an epoch's artifact store.
     pub fn key(&self) -> u64 {
         let mut h = Fnv128::new();
         h.write_usize(self.m);
         h.write_usize(self.max_m0);
         h.write_usize(self.ef_construction);
         // `ef_search` is a *query*-time knob: excluded, so tuning it does
-        // not rebuild (or re-register) the graph.
+        // not rebuild the graph.
         h.write_u64(self.seed);
         let fp = h.finish().0;
         (fp as u64) ^ ((fp >> 64) as u64)
@@ -350,7 +351,7 @@ impl Hnsw {
         let mut graph = Self::empty(rows.dim(), params);
         let (stats, _) = graph.grow(rows);
 
-        hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
+        hinn_obs::counter("index.insert_dist_evals", stats.dist_evals as u64);
         if let Some(t0) = t0 {
             hinn_obs::observe("index.build_ms", t0.elapsed().as_secs_f64() * 1e3);
         }
@@ -436,35 +437,6 @@ impl Hnsw {
         }
     }
 
-    /// The shared, memoized graph over `points`: built at most once per
-    /// (dataset fingerprint, build-params key) process-wide and handed out
-    /// as an `Arc` via the [`hinn_cache::DatasetArtifacts`] registry —
-    /// repeated sessions on one dataset amortize the O(N·ef·d) build.
-    ///
-    /// The build is a pure function of `(points, params)` and the registry
-    /// key is the content fingerprint of `points`, so the shared graph is
-    /// bit-identical to a fresh [`Hnsw::build`].
-    ///
-    /// Because the registry key excludes the query-time `ef_search` knob
-    /// (see [`HnswParams::key`]), every `ef_search` variant maps to the
-    /// *same* artifact slot. The stored graph must therefore not remember
-    /// any one caller's `ef_search` — it is canonicalized to the default
-    /// before the build, so the `Arc` handed back is independent of which
-    /// caller registered first. Callers wanting a non-default search
-    /// width pass it per query through [`Hnsw::knn_with_ef`].
-    ///
-    /// # Panics
-    /// Panics exactly as [`Hnsw::build`] does on invalid input.
-    pub fn shared(points: &[Vec<f64>], params: HnswParams) -> Arc<Self> {
-        let params = HnswParams {
-            ef_search: HnswParams::default().ef_search,
-            ..params
-        };
-        hinn_cache::DatasetArtifacts::for_points(points)
-            .store()
-            .get_or_insert("index.hnsw", params.key(), || Self::build(points, params))
-    }
-
     /// Extend the graph to `rows`, which must begin with the graph's own
     /// rows ([`RowChunks::starts_with`]; pass [`RowChunks::appended`] of
     /// [`Hnsw::rows`] or of the snapshot the graph was built over): the
@@ -475,8 +447,9 @@ impl Hnsw {
     /// [`Hnsw::build`] inserts in strict id order, a graph built over a
     /// prefix and then extended with the suffix is **bit-identical**
     /// (same [`Hnsw::digest`]) to one built over the full set in one
-    /// shot — the property that lets streaming epochs grow the shared
-    /// graph incrementally instead of rebuilding per append batch.
+    /// shot — the property that lets streaming epochs grow their
+    /// handle's graph incrementally instead of rebuilding per append
+    /// batch.
     ///
     /// The result shares every neighbor list the new rows leave alone with
     /// `self`, so the copying is O(Δ): the lists the new nodes link into
@@ -502,7 +475,7 @@ impl Hnsw {
         let mut graph = self.clone();
         let (stats, lists_copied) = graph.grow(rows);
 
-        hinn_obs::counter("index.dist_evals", stats.dist_evals as u64);
+        hinn_obs::counter("index.insert_dist_evals", stats.dist_evals as u64);
         hinn_obs::counter("index.lists_copied", lists_copied as u64);
         if let Some(t0) = t0 {
             hinn_obs::observe("index.extend_ms", t0.elapsed().as_secs_f64() * 1e3);
@@ -580,9 +553,8 @@ impl Hnsw {
     /// Approximate Euclidean k-NN: neighbor ids, closest first. The
     /// dynamic list width is `max(ef_search, k)` with `ef_search` taken
     /// from the graph's own stored params — fine for a graph you built
-    /// yourself, but a graph from [`Hnsw::shared`] carries the *canonical*
-    /// (default) `ef_search`, so callers tuning the knob must pass it per
-    /// query via [`Hnsw::knn_with_ef`].
+    /// yourself, but a graph shared between callers with different widths
+    /// should be walked with [`Hnsw::knn_with_ef`].
     ///
     /// # Panics
     /// Panics on query dimensionality mismatch.
@@ -592,10 +564,9 @@ impl Hnsw {
 
     /// [`Hnsw::knn`] with an explicit search-list width: the dynamic list
     /// is `max(ef, k)`, independent of the `ef_search` the graph was
-    /// built/registered with. This is the right entry point for shared
-    /// graphs (see [`Hnsw::shared`]): the result depends only on
-    /// `(points, build params, query, k, ef)`, never on which caller
-    /// registered the artifact first.
+    /// built with. This is the right entry point for shared graphs: the
+    /// result depends only on `(points, build params, query, k, ef)`,
+    /// never on which caller built the graph.
     ///
     /// # Panics
     /// Panics on query dimensionality mismatch.
@@ -1271,48 +1242,6 @@ mod tests {
         // k > n clamps to the reachable set.
         let all = graph.knn(&pts[0], 500);
         assert_eq!(all.len(), 50);
-    }
-
-    #[test]
-    fn shared_is_memoized_and_identical_to_fresh() {
-        let pts = cloud(150, 6, 0xC0FF_EE01);
-        let params = HnswParams::default();
-        let a = Hnsw::shared(&pts, params);
-        let b = Hnsw::shared(&pts, params);
-        assert!(Arc::ptr_eq(&a, &b), "registry must share one graph");
-        assert_eq!(a.digest(), Hnsw::build(&pts, params).digest());
-        // Different build params occupy a different artifact slot.
-        let c = Hnsw::shared(&pts, params.with_m(8));
-        assert!(!Arc::ptr_eq(&a, &c));
-        // A search-only knob shares the build.
-        let d = Hnsw::shared(&pts, params.with_ef_search(99));
-        assert!(Arc::ptr_eq(&a, &d), "ef_search must not rebuild");
-        // ...and never leaks into the shared graph: the stored params are
-        // canonical regardless of which registrant came first.
-        assert_eq!(d.params().ef_search, HnswParams::default().ef_search);
-    }
-
-    #[test]
-    fn shared_search_width_ignores_registration_order() {
-        // First registrant asks for a deliberately starved ef_search. A
-        // later caller wanting a wide search must get it — the width is a
-        // per-query argument, not a property of whoever registered first.
-        let pts = cloud(300, 6, 0xC0FF_EE02);
-        let params = HnswParams::default();
-        let first = Hnsw::shared(&pts, params.with_ef_search(1));
-        let wide = Hnsw::shared(&pts, params.with_ef_search(300));
-        assert!(Arc::ptr_eq(&first, &wide), "one artifact slot");
-        for qi in [0, 150, 299] {
-            // ef = n degenerates to an exhaustive scan of the component,
-            // so the explicit-ef answer matches exact kNN even though the
-            // graph was registered with ef_search = 1.
-            let got = wide.knn_with_ef(&pts[qi], 10, 300);
-            assert_eq!(got, exact_knn(&pts, &pts[qi], 10), "query {qi}");
-            // The explicit width also matches a privately built graph
-            // whose stored ef_search is that same width.
-            let own = Hnsw::build(&pts, params.with_ef_search(300));
-            assert_eq!(got, own.knn(&pts[qi], 10), "query {qi}");
-        }
     }
 
     #[test]

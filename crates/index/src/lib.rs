@@ -4,9 +4,9 @@
 //! view, and both existing generators — the VA-file filter and the linear
 //! kNN scan — are O(N) per query. This crate adds the standard sublinear
 //! answer: a hierarchical navigable small world graph (Malkov & Yashunin,
-//! TPAMI 2020), built once per dataset and shared across sessions through
-//! the [`hinn_cache::DatasetArtifacts`] registry exactly like
-//! `VaFile::shared`.
+//! TPAMI 2020), built once per dataset epoch and shared by every session
+//! pinned to it; the epoch's successors extend it rather than rebuild
+//! (`hinn-core` keeps it in the epoch snapshot's artifact store).
 //!
 //! # Determinism contract
 //!

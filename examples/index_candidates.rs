@@ -4,7 +4,7 @@
 //! On large datasets the interactive loop only ever surfaces a few
 //! hundred neighbors, so the engine can instead seed its alive set from
 //! an approximate index: [`CandidateSource::hnsw`] builds (or reuses — the
-//! graph is a shared, fingerprint-keyed dataset artifact) a deterministic
+//! graph belongs to the dataset epoch the session pins) a deterministic
 //! HNSW graph and hands the session the query's top-`budget` candidates.
 //!
 //! The graph is seeded: a fixed [`HnswParams::seed`] produces the same

@@ -30,14 +30,15 @@
 //!   automated projected-NN and distinctiveness-sensitive baselines, and
 //!   the VA-file index.
 //! * [`index`] — the deterministic seeded HNSW graph behind
-//!   `CandidateSource::Hnsw`: sublinear approximate candidates, shared
-//!   per (dataset, build params) through the artifact registry.
+//!   `CandidateSource::Hnsw`: sublinear approximate candidates, built
+//!   once per dataset epoch and build params, and extended as the
+//!   dataset grows.
 //! * [`metrics`] — precision/recall, accuracy, relative contrast and
 //!   ε-instability, rank agreement, steep-drop (natural neighbor count)
 //!   analysis.
-//! * [`cache`] — shared per-dataset artifacts, deterministic LRU caches,
-//!   and buffer pools behind the batch-serving fast path; warm and cold
-//!   runs stay bit-identical.
+//! * [`cache`] — the artifact store each dataset epoch keeps its indexes
+//!   in, deterministic LRU caches, and buffer pools behind the
+//!   batch-serving fast path; warm and cold runs stay bit-identical.
 //! * [`core`] — the interactive search system itself (Figs. 2–8 of the
 //!   paper): graded query-centered projections, visual profiles, preference
 //!   counts, meaningfulness quantification, meaninglessness diagnosis,

@@ -6,8 +6,9 @@
 //! definition; this module adds what only tests need — seeded dataset
 //! fixtures and the source-vs-baseline sweep.
 
-use hinn::core::{CandidateSource, Parallelism};
+use hinn::core::{CandidateSource, DatasetHandle, EpochSnapshot, Parallelism};
 use hinn::index::recall::recall_at_k;
+use std::sync::Arc;
 
 /// Deterministic xorshift64 uniform generator in `[0, 1)` (the
 /// harness-wide generator, same as `parallel_equivalence.rs`).
@@ -58,15 +59,23 @@ pub fn gaussian_mixture(
         .collect()
 }
 
+/// The current snapshot of a handle over `points`: what a source reads.
+pub fn snapshot(points: &[Vec<f64>]) -> Arc<EpochSnapshot> {
+    DatasetHandle::new(points)
+        .expect("finite fixture")
+        .snapshot()
+}
+
 /// The exact Euclidean top-`k` baseline (closest first) every approximate
 /// source is measured against.
-pub fn exact_top_k(points: &[Vec<f64>], query: &[f64], k: usize) -> Vec<usize> {
-    CandidateSource::Full.top_k(Parallelism::serial(), points, query, k)
+pub fn exact_top_k(snap: &EpochSnapshot, query: &[f64], k: usize) -> Vec<usize> {
+    CandidateSource::Full.top_k(Parallelism::serial(), snap, query, k)
 }
 
 /// Mean recall@k of `source` against the exact baseline over the queries
 /// at `query_ids` (each queried by its own point — the paper's
-/// query-by-example setting).
+/// query-by-example setting). The fixture gets one handle, so an index
+/// source builds its index once for all the queries.
 pub fn mean_recall(
     source: &CandidateSource,
     points: &[Vec<f64>],
@@ -75,11 +84,12 @@ pub fn mean_recall(
 ) -> f64 {
     assert!(!query_ids.is_empty(), "recall needs at least one query");
     let par = Parallelism::serial();
+    let snap = snapshot(points);
     let sum: f64 = query_ids
         .iter()
         .map(|&qi| {
-            let exact = exact_top_k(points, &points[qi], k);
-            let approx = source.top_k(par, points, &points[qi], k);
+            let exact = exact_top_k(&snap, &points[qi], k);
+            let approx = source.top_k(par, &snap, &points[qi], k);
             recall_at_k(&exact, &approx, k)
         })
         .sum();

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::recall::uniform_cloud;
+use common::recall::{snapshot, uniform_cloud};
 use hinn::core::{
     CandidateSource, DatasetHandle, InteractiveSearch, Parallelism, SearchConfig, SearchOutcome,
 };
@@ -139,7 +139,12 @@ fn hnsw_sessions_byte_equal_across_thread_budgets() {
 #[test]
 fn hnsw_session_neighbors_come_from_the_seeded_set() {
     let points = uniform_cloud(SERIAL_CUTOFF + 130, 6, 0xD00D);
-    let seeded = CandidateSource::hnsw(160).top_k(Parallelism::serial(), &points, &points[0], 160);
+    let seeded = CandidateSource::hnsw(160).top_k(
+        Parallelism::serial(),
+        &snapshot(&points),
+        &points[0],
+        160,
+    );
     let outcome = hnsw_session(Parallelism::serial(), &points);
     assert!(!outcome.neighbors.is_empty());
     for nb in &outcome.neighbors {

@@ -11,7 +11,7 @@
 mod common;
 
 use common::recall::{
-    exact_top_k, gaussian_mixture, mean_recall, spread_queries, uniform_cloud, xorshift,
+    exact_top_k, gaussian_mixture, mean_recall, snapshot, spread_queries, uniform_cloud, xorshift,
 };
 use hinn::core::CandidateSource;
 use hinn::index::recall::recall_at_k;
@@ -84,12 +84,13 @@ fn recall_uniform_d16_with_a_quarter_tombstoned() {
     let dead: Vec<bool> = (0..N).map(|_| unif() < 0.25).collect();
     let alive = |id: usize| !dead[id];
     let graph = Hnsw::build(&points, params());
+    let snap = snapshot(&points);
     let queries = spread_queries(N, N_QUERIES);
     let sum: f64 = queries
         .iter()
         .map(|&qi| {
             let q = &points[qi];
-            let exact: Vec<usize> = exact_top_k(&points, q, N)
+            let exact: Vec<usize> = exact_top_k(&snap, q, N)
                 .into_iter()
                 .filter(|&id| alive(id))
                 .take(K)

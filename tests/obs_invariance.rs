@@ -98,17 +98,11 @@ fn hnsw_config(par: Parallelism) -> SearchConfig {
     config(par).with_candidate_source(CandidateSource::hnsw(SERIAL_CUTOFF + 40))
 }
 
+/// The session workload. Every run opens its own [`DatasetHandle`], and
+/// an HNSW graph belongs to the handle's epoch, so each HNSW-seeded run
+/// builds its graph cold and records `index.build`.
 fn workload() -> Vec<Vec<f64>> {
-    workload_seeded(0xD00D)
-}
-
-/// A workload with its own dataset seed. The HNSW-traced tests each use a
-/// *unique* seed: the graph artifact registry is process-global, so a
-/// dataset reused from an earlier test would be a registry hit and the
-/// `index.build` span would never appear — making span coverage (and the
-/// schema golden) depend on test execution order.
-fn workload_seeded(seed: u64) -> Vec<Vec<f64>> {
-    cloud(SERIAL_CUTOFF + 130, 6, seed)
+    cloud(SERIAL_CUTOFF + 130, 6, 0xD00D)
 }
 
 fn run_plain_with(config: SearchConfig, points: &[Vec<f64>]) -> SearchOutcome {
@@ -243,13 +237,13 @@ fn recorder_on_equals_recorder_off_across_budgets() {
 
 /// The same on/off claim for the HNSW-seeded path: the index reads a
 /// clock during a traced build (`index.build_ms`), and that clock must
-/// never leak into the graph or the session (the first run builds the
-/// graph cold; the second shares it through the artifact registry — the
-/// shared graph is bit-identical to a fresh build, so the outcomes match).
+/// never leak into the graph or the session (each run builds its graph
+/// cold on its own handle, and the builds are bit-identical, so the
+/// outcomes match).
 #[test]
 fn recorder_toggle_is_invisible_to_hnsw_sessions() {
     let _guard = exclusive();
-    let points = workload_seeded(0x0FF0_0001);
+    let points = workload();
     for t in BUDGETS {
         let plain = run_plain_with(hnsw_config(Parallelism::fixed(t)), &points);
         let (traced, report) = run_traced_with(hnsw_config(Parallelism::fixed(t)), &points);
@@ -283,10 +277,7 @@ fn traced_sessions_bit_identical_across_budgets() {
 #[test]
 fn telemetry_covers_every_instrumented_phase() {
     let _guard = exclusive();
-    // Unique dataset seed: the HNSW build must be cold in this test (see
-    // `workload_seeded`), or the `index.build` span assertion below would
-    // depend on which test ran first.
-    let points = workload_seeded(0xC0DE_0001);
+    let points = workload();
     let (_, report) = run_traced_with(hnsw_config(Parallelism::fixed(4)), &points);
 
     let paths = report.span_paths();
@@ -374,9 +365,9 @@ fn golden_path() -> PathBuf {
 #[test]
 fn telemetry_schema_matches_golden() {
     let _guard = exclusive();
-    // HNSW-seeded run on its own dataset (cold build — see
-    // `workload_seeded`) so the schema covers the `index.*` metrics.
-    let points = workload_seeded(0x5C8E_0001);
+    // HNSW-seeded run (a cold build — see `workload`) so the schema
+    // covers the `index.*` metrics.
+    let points = workload();
     let (_, report) = run_traced_with(hnsw_config(Parallelism::fixed(4)), &points);
     let rendered = report.schema();
 
