@@ -7,7 +7,7 @@
 //! nearest-neighbor search".
 
 use crate::transcript::Transcript;
-use hinn_metrics::drop::{detect_steep_drop, DropConfig, DropVerdict};
+use hinn_metrics::drop::{detect_steep_drop_sorted, DropConfig, DropVerdict};
 
 /// The system's verdict on a completed search session.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,13 +36,14 @@ impl SearchDiagnosis {
         matches!(self, SearchDiagnosis::Meaningful { .. })
     }
 
-    /// Derive the verdict from final probabilities and the transcript.
-    pub fn derive(
-        probabilities: &[f64],
+    /// Derive the verdict from the final probabilities, sorted descending
+    /// by `total_cmp`, and the transcript.
+    pub fn derive_sorted(
+        sorted_probabilities: &[f64],
         transcript: &Transcript,
         drop_config: &DropConfig,
     ) -> Self {
-        let verdict = detect_steep_drop(probabilities, drop_config);
+        let verdict = detect_steep_drop_sorted(sorted_probabilities, drop_config);
         let views = transcript.total_views();
         let dismissed = transcript.total_dismissed();
         let dismissal_rate = if views > 0 {
@@ -127,7 +128,7 @@ mod tests {
     fn cliffy_probabilities_are_meaningful() {
         let mut probs = vec![0.95; 8];
         probs.extend(vec![0.05; 92]);
-        let d = SearchDiagnosis::derive(&probs, &transcript(5, 1), &DropConfig::default());
+        let d = SearchDiagnosis::derive_sorted(&probs, &transcript(5, 1), &DropConfig::default());
         match d {
             SearchDiagnosis::Meaningful { natural_k, .. } => assert_eq!(natural_k, 8),
             other => panic!("{other:?}"),
@@ -137,7 +138,7 @@ mod tests {
     #[test]
     fn flat_probabilities_not_meaningful_with_reason() {
         let probs = vec![0.2; 100];
-        let d = SearchDiagnosis::derive(&probs, &transcript(1, 9), &DropConfig::default());
+        let d = SearchDiagnosis::derive_sorted(&probs, &transcript(1, 9), &DropConfig::default());
         match d {
             SearchDiagnosis::NotMeaningful { reason, .. } => {
                 assert!(reason.contains("no steep drop"));
@@ -146,7 +147,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(
-            !SearchDiagnosis::derive(&probs, &transcript(1, 9), &DropConfig::default())
+            !SearchDiagnosis::derive_sorted(&probs, &transcript(1, 9), &DropConfig::default())
                 .is_meaningful()
         );
     }
@@ -154,7 +155,7 @@ mod tests {
     #[test]
     fn low_dismissal_rate_omits_dismissal_note() {
         let probs = vec![0.2; 100];
-        let d = SearchDiagnosis::derive(&probs, &transcript(9, 1), &DropConfig::default());
+        let d = SearchDiagnosis::derive_sorted(&probs, &transcript(9, 1), &DropConfig::default());
         match d {
             SearchDiagnosis::NotMeaningful { reason, .. } => {
                 assert!(!reason.contains("dismissed"), "{reason}");

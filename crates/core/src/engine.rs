@@ -42,6 +42,21 @@
 //! resumed engine has no record of the views before its snapshot and
 //! recomputes them.
 //!
+//! # Cost of a seeded session
+//!
+//! An index-seeded session's candidate set starts as its `budget` ids, and
+//! the engine keeps that seed as its *touched set*: the only ids whose
+//! probability mass can become nonzero. A resumed engine rebuilds it as
+//! its alive ids plus every id with mass. Each major's stability check and
+//! the final ranking work on three blocks (`rank_touched`), and the
+//! diagnosis scans their concatenation (`sorted_probabilities`), so the
+//! tie-break distances, the selections and the sorts are O(budget). The
+//! one O(N) scan lists the ids nearest the query over the whole epoch; it
+//! runs at most once per session, when fewer than `s` candidates have
+//! positive probability. What stays O(N) is the dense `p_sum`, each
+//! major's preference counts, [`SearchOutcome::probabilities`], the
+//! diagnosis's filled +0.0 run and the snapshot text.
+//!
 //! # Deadlines
 //!
 //! A configured [`crate::SearchConfig::deadline`] bounds the session's
@@ -206,9 +221,16 @@ pub struct SessionEngine {
     pub(crate) major: usize,
     /// Termination-by-stability latch.
     pub(crate) stopped: bool,
-    /// Squared full-space distance of every point to the query, the
+    /// Every id whose `p_sum` can be nonzero, ascending: the seed, or on
+    /// a resumed engine its alive ids and every id with mass. `None` while
+    /// that is still the alive set, until a major drops a point.
+    touched: Option<Vec<usize>>,
+    /// Squared full-space distance to the query of each touched id, the
     /// ranking's tie-break. Filled at the first ranking, never at open.
-    query_dist_sq: Option<Vec<f64>>,
+    touched_dist_sq: Option<Vec<f64>>,
+    /// The ids nearest the query over the whole epoch, with their squared
+    /// distances: where a ranking reads its +0.0 block. Built at most once.
+    nearest: Option<Vec<(f64, usize)>>,
     /// The previous major's views when it dropped no point: minor `k` of
     /// the current major repeats view `k` (see the module docs).
     replay: Vec<MajorView>,
@@ -300,7 +322,9 @@ impl SessionEngine {
             prev_top: None,
             major: 0,
             stopped: false,
-            query_dist_sq: None,
+            touched: None,
+            touched_dist_sq: None,
+            nearest: None,
             replay: Vec::new(),
             replay_cols: None,
             cur: None,
@@ -647,6 +671,7 @@ impl SessionEngine {
             ));
         }
         let alive_cols = gather_columns(d, state.alive.iter().map(|&i| snap.alive_row(i)));
+        let touched = touched_ids(&state.alive, &state.p_sum);
         let spent_at_snapshot = Duration::from_nanos(state.spent_ns);
         let mut engine = SessionEngine {
             config,
@@ -670,7 +695,9 @@ impl SessionEngine {
             prev_top: state.prev_top,
             major: state.major,
             stopped: state.stopped,
-            query_dist_sq: None,
+            touched: Some(touched),
+            touched_dist_sq: None,
+            nearest: None,
             replay: Vec::new(),
             replay_cols: None,
             cur: Some(MajorCtx {
@@ -1041,13 +1068,11 @@ impl SessionEngine {
         }
         self.majors_run += 1;
 
-        // Termination check on the stability of the top-s set.
-        let current_probs: Vec<f64> = self
-            .p_sum
-            .iter()
-            .map(|p| p / self.majors_run as f64)
-            .collect();
-        let top = self.rank(&current_probs);
+        // Termination check on the stability of the top-s set, ranked
+        // from the touched ids' probabilities alone.
+        let m = self.majors_run as f64;
+        let p: Vec<f64> = self.touched().iter().map(|&i| self.p_sum[i] / m).collect();
+        let top = self.rank(&p);
         let overlap = self.prev_top.as_ref().map(|prev| {
             let prev_set: std::collections::HashSet<usize> = prev.iter().copied().collect();
             top.iter().filter(|i| prev_set.contains(i)).count() as f64 / self.s_eff.max(1) as f64
@@ -1058,7 +1083,8 @@ impl SessionEngine {
         // drops none hands its views to the next one to replay.
         let survivors = cur.counts.survivors(&self.alive);
         if survivors.len() >= 2 && survivors != self.alive {
-            self.alive = survivors;
+            let seed = std::mem::replace(&mut self.alive, survivors);
+            self.touched.get_or_insert(seed);
             self.replay = Vec::new();
             self.replay_cols = None;
         } else {
@@ -1078,16 +1104,32 @@ impl SessionEngine {
         self.major += 1;
     }
 
-    /// The top-`s` ids by `probabilities` ([`rank_neighbors`]), computing
-    /// the tie-break distances on first use.
-    fn rank(&mut self, probabilities: &[f64]) -> Vec<usize> {
+    /// The ids whose `p_sum` can be nonzero: the `touched` field, or the
+    /// alive set while that is `None`.
+    fn touched(&self) -> &[usize] {
+        self.touched.as_deref().unwrap_or(&self.alive)
+    }
+
+    /// The top-`s` ids of the whole epoch, given `p[k]`, the probability
+    /// of touched id `k` ([`rank_touched`]). Computes the touched ids'
+    /// tie-break distances on first use.
+    fn rank(&mut self, p: &[f64]) -> Vec<usize> {
         let (snap, query) = (&self.snap, &self.query);
-        let dist_sq = self.query_dist_sq.get_or_insert_with(|| {
-            (0..snap.len())
-                .map(|i| hinn_linalg::vector::dist_sq(snap.alive_row(i), query))
+        let touched = self.touched.as_deref().unwrap_or(&self.alive);
+        let dist_sq = self.touched_dist_sq.get_or_insert_with(|| {
+            touched
+                .iter()
+                .map(|&i| hinn_linalg::vector::dist_sq(snap.alive_row(i), query))
                 .collect()
         });
-        rank_neighbors(probabilities, dist_sq, self.s_eff)
+        // The one whole-epoch scan, run only when the +0.0 block is read.
+        let scan = |len| {
+            let all = (0..snap.len())
+                .map(|i| (hinn_linalg::vector::dist_sq(snap.alive_row(i), query), i))
+                .collect();
+            nearest_first(all, len)
+        };
+        rank_touched(touched, p, dist_sq, self.s_eff, &mut self.nearest, scan)
     }
 
     /// Final probabilities, ranking and diagnosis (§4.1–4.2).
@@ -1102,9 +1144,14 @@ impl SessionEngine {
         } else {
             std::mem::take(&mut self.p_sum)
         };
-        let neighbors = self.rank(&probabilities);
+        let p: Vec<f64> = self.touched().iter().map(|&i| probabilities[i]).collect();
+        let neighbors = self.rank(&p);
         let transcript = std::mem::take(&mut self.transcript);
-        let diagnosis = SearchDiagnosis::derive(&probabilities, &transcript, &self.drop_config);
+        let diagnosis = SearchDiagnosis::derive_sorted(
+            &sorted_probabilities(self.n, &p),
+            &transcript,
+            &self.drop_config,
+        );
         SearchOutcome {
             neighbors,
             probabilities,
@@ -1177,30 +1224,173 @@ fn config_fingerprint(config: &SearchConfig) -> Fingerprint {
     h.finish()
 }
 
-/// The top `k` original indices by probability (descending), breaking
-/// ties by squared full-space distance to the query (`dist_sq[i]`,
-/// ascending), then index. The comparator is a total order (`total_cmp`,
-/// and no two ids tie), so selecting the top `k` and sorting only those
-/// returns exactly the first `k` of the full sort. Probabilities and
-/// squared distances are non-negative, so `total_cmp` coincides with the
-/// partial order while staying total on poisoned (NaN) values.
-pub(crate) fn rank_neighbors(probabilities: &[f64], dist_sq: &[f64], k: usize) -> Vec<usize> {
-    let cmp = |&a: &usize, &b: &usize| {
+/// The ids a resumed session may give a probability other than +0.0,
+/// ascending: its alive ids and every id whose `p_sum` is not +0.0.
+fn touched_ids(alive: &[usize], p_sum: &[f64]) -> Vec<usize> {
+    let mut touched = alive.to_vec();
+    touched.extend((0..p_sum.len()).filter(|&i| p_sum[i].to_bits() != 0));
+    touched.sort_unstable();
+    touched.dedup();
+    touched
+}
+
+/// The first `k` of `items` under the total order `cmp`, in order:
+/// selects them, then sorts only those.
+pub(crate) fn first_k_sorted<T>(
+    mut items: Vec<T>,
+    k: usize,
+    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+) -> Vec<T> {
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < items.len() {
+        items.select_nth_unstable_by(k - 1, &cmp);
+        items.truncate(k);
+    }
+    items.sort_unstable_by(cmp);
+    items
+}
+
+/// The top `k` of `candidates` (indices into `probabilities` and
+/// `dist_sq`) by probability descending, breaking ties by squared
+/// full-space distance to the query ascending, then index. The comparator
+/// is a total order (`total_cmp`, and no two indices tie), so selecting
+/// the top `k` and sorting only those returns exactly the first `k` of
+/// the full sort. Probabilities and squared distances are non-negative,
+/// so `total_cmp` coincides with the partial order while staying total on
+/// poisoned (NaN) values.
+pub(crate) fn rank_neighbors(
+    candidates: Vec<usize>,
+    probabilities: &[f64],
+    dist_sq: &[f64],
+    k: usize,
+) -> Vec<usize> {
+    #[cfg(test)]
+    tests::tally(tests::Work::Select {
+        candidates: candidates.len(),
+    });
+    first_k_sorted(candidates, k, |&a, &b| {
         probabilities[b]
             .total_cmp(&probabilities[a])
             .then(dist_sq[a].total_cmp(&dist_sq[b]))
             .then(a.cmp(&b))
+    })
+}
+
+/// The indices `k` of `p` with `p[k]` on `side` of +0.0 under `total_cmp`.
+fn block(p: &[f64], side: std::cmp::Ordering) -> Vec<usize> {
+    (0..p.len())
+        .filter(|&k| p[k].total_cmp(&0.0) == side)
+        .collect()
+}
+
+/// The top `k` ids of an epoch ranked as [`rank_neighbors`] ranks all of
+/// them, from the ids that can carry a probability other than +0.0.
+/// `touched` is ascending, and `p[j]` and `dist_sq[j]` are the probability
+/// and squared query distance of `touched[j]`; every other id has
+/// probability +0.0. The order falls into three blocks:
+///
+/// 1. touched ids above +0.0, ranked by [`rank_neighbors`];
+/// 2. the ids at +0.0 — touched or not — by `(dist_sq, id)`, selected
+///    from the `k + |touched|` ids nearest the query over the whole
+///    epoch, which `scan(len)` lists with their distances, in any order.
+///    The list is built into `nearest` only when block 1 holds fewer
+///    than `k` ids, and kept: at most `|touched|` of its ids fall in the
+///    other blocks, so it always holds enough of block 2;
+/// 3. touched ids below +0.0 (−0.0, negative values, negative NaN), ranked
+///    by [`rank_neighbors`]. Real probabilities never land here; the block
+///    keeps the ranking exact for every input.
+///
+/// An ascending `touched` maps index order onto id order, so the blocks'
+/// last tie-break is the dense ranking's.
+pub(crate) fn rank_touched(
+    touched: &[usize],
+    p: &[f64],
+    dist_sq: &[f64],
+    k: usize,
+    nearest: &mut Option<Vec<(f64, usize)>>,
+    scan: impl FnOnce(usize) -> Vec<(f64, usize)>,
+) -> Vec<usize> {
+    use std::cmp::Ordering;
+    let above = block(p, Ordering::Greater);
+    #[cfg(test)]
+    tests::tally(tests::Work::Ranking {
+        touched: touched.len(),
+        above: above.len(),
+        support: k,
+    });
+    let mut top: Vec<usize> = rank_neighbors(above, p, dist_sq, k)
+        .into_iter()
+        .map(|j| touched[j])
+        .collect();
+    if top.len() < k {
+        let list = nearest.get_or_insert_with(|| scan(k + touched.len()));
+        // Ascending, because `touched` is.
+        let elsewhere: Vec<usize> = (0..p.len())
+            .filter(|&j| p[j].to_bits() != 0)
+            .map(|j| touched[j])
+            .collect();
+        let zero: Vec<(f64, usize)> = list
+            .iter()
+            .copied()
+            .filter(|(_, id)| elsewhere.binary_search(id).is_err())
+            .collect();
+        let need = k - top.len();
+        top.extend(
+            first_k_sorted(zero, need, by_dist)
+                .into_iter()
+                .map(|(_, id)| id),
+        );
+    }
+    if top.len() < k {
+        let need = k - top.len();
+        let below = rank_neighbors(block(p, Ordering::Less), p, dist_sq, need);
+        top.extend(below.into_iter().map(|j| touched[j]));
+    }
+    top
+}
+
+/// The order of `(dist_sq, id)` pairs: nearest first, then lower id.
+fn by_dist(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// The first `len` of every id's `(dist_sq, id)` pair under [`by_dist`],
+/// in no particular order: the nearest list of [`rank_touched`].
+fn nearest_first(mut all: Vec<(f64, usize)>, len: usize) -> Vec<(f64, usize)> {
+    #[cfg(test)]
+    tests::tally(tests::Work::NearestScan { len });
+    if len < all.len() {
+        all.select_nth_unstable_by(len - 1, by_dist);
+        all.truncate(len);
+    }
+    all
+}
+
+/// Every id's probability, sorted descending by `total_cmp`, from the
+/// touched ids' probabilities `p` and `n`, the epoch's id count: the
+/// three blocks of [`rank_touched`] concatenated. Only the touched values
+/// off +0.0 are sorted; the rest are +0.0.
+pub(crate) fn sorted_probabilities(n: usize, p: &[f64]) -> Vec<f64> {
+    use std::cmp::Ordering;
+    let sorted_block = |side: Ordering| {
+        let mut values: Vec<f64> = block(p, side).into_iter().map(|j| p[j]).collect();
+        #[cfg(test)]
+        tests::tally(tests::Work::DiagnosisSort {
+            values: values.len(),
+        });
+        values.sort_unstable_by(|a, b| b.total_cmp(a));
+        values
     };
-    let mut order: Vec<usize> = (0..probabilities.len()).collect();
-    if k == 0 {
-        return Vec::new();
-    }
-    if k < order.len() {
-        order.select_nth_unstable_by(k - 1, cmp);
-        order.truncate(k);
-    }
-    order.sort_unstable_by(cmp);
-    order
+    let (above, below) = (
+        sorted_block(Ordering::Greater),
+        sorted_block(Ordering::Less),
+    );
+    let mut sorted = above;
+    sorted.resize(n - below.len(), 0.0);
+    sorted.extend(below);
+    sorted
 }
 
 #[cfg(test)]
@@ -1235,40 +1425,127 @@ mod tests {
         order
     }
 
+    /// The probabilities a case draws from: zeros of both signs, ties,
+    /// NaN of both signs and a negative value.
+    const MASSES: [f64; 10] = [
+        0.0,
+        -0.0,
+        0.25,
+        0.5,
+        0.75,
+        1.0,
+        f64::NAN,
+        -f64::NAN,
+        -0.25,
+        0.0,
+    ];
+
     /// Points on a coarse integer lattice (so duplicates are common),
-    /// probabilities from a handful of masses (so ties are common), a
+    /// probabilities from a handful of masses (so ties are common), the
+    /// touched ids (every id, or a random subset; the others get +0.0), a
     /// query, and a `k` that straddles 0 and `n`.
     #[allow(clippy::type_complexity)]
-    fn ranking_case() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, usize)> {
+    fn ranking_case(
+    ) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, Vec<usize>, Vec<f64>, usize)> {
         (1..400usize).prop_flat_map(|n| {
             (
                 proptest::collection::vec(proptest::collection::vec(0..3u32, 3..=3), n..=n),
+                proptest::collection::vec(0..MASSES.len(), n..=n),
                 proptest::collection::vec(0..4u32, n..=n),
+                0..4u32,
                 proptest::collection::vec(0..3u32, 3..=3),
                 0..n + 3,
             )
-                .prop_map(|(pts, mass, q, k)| {
+                .prop_map(|(pts, mass, touch, all, q, k)| {
                     let lattice = |v: Vec<u32>| v.into_iter().map(f64::from).collect::<Vec<f64>>();
-                    let probs = mass.into_iter().map(|m| f64::from(m) / 4.0).collect();
-                    (pts.into_iter().map(lattice).collect(), probs, lattice(q), k)
+                    let touched: Vec<usize> = (0..pts.len())
+                        .filter(|&i| all == 0 || touch[i] != 0)
+                        .collect();
+                    let mut probs = vec![0.0; pts.len()];
+                    for &i in &touched {
+                        probs[i] = MASSES[mass[i]];
+                    }
+                    let points = pts.into_iter().map(lattice).collect();
+                    (points, probs, touched, lattice(q), k)
                 })
         })
+    }
+
+    /// Every id's `(dist_sq, id)` pair, the nearest list's input.
+    fn pairs(dist_sq: &[f64]) -> Vec<(f64, usize)> {
+        dist_sq.iter().copied().zip(0..).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn selection_ranking_equals_the_full_sort((points, probs, query, k) in ranking_case()) {
+        fn selection_ranking_equals_the_full_sort(
+            (points, probs, touched, query, k) in ranking_case()
+        ) {
             let dist_sq: Vec<f64> = points
                 .iter()
                 .map(|p| hinn_linalg::vector::dist_sq(p, &query))
                 .collect();
+            let dense = rank_neighbors((0..probs.len()).collect(), &probs, &dist_sq, k);
+            prop_assert_eq!(&dense, &rank_neighbors_reference(&probs, &points, &query, k));
+            // The block ranking reads the touched ids and the nearest list.
+            let p: Vec<f64> = touched.iter().map(|&i| probs[i]).collect();
+            let d: Vec<f64> = touched.iter().map(|&i| dist_sq[i]).collect();
+            let scan = |len| nearest_first(pairs(&dist_sq), len);
+            prop_assert_eq!(rank_touched(&touched, &p, &d, k, &mut None, scan), dense);
+        }
+
+        #[test]
+        fn block_diagnosis_equals_the_dense_sort(
+            (_points, probs, touched, _query, _k) in ranking_case()
+        ) {
+            let mut dense = probs.clone();
+            dense.sort_by(|a, b| b.total_cmp(a));
+            let p: Vec<f64> = touched.iter().map(|&i| probs[i]).collect();
+            let blocks = sorted_probabilities(probs.len(), &p);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&blocks), bits(&dense));
+            let cfg = DropConfig::default();
             prop_assert_eq!(
-                rank_neighbors(&probs, &dist_sq, k),
-                rank_neighbors_reference(&probs, &points, &query, k)
+                hinn_metrics::drop::detect_steep_drop_sorted(&blocks, &cfg),
+                hinn_metrics::drop::detect_steep_drop(&probs, &cfg)
             );
         }
+    }
+
+    /// A unit of ranking or diagnosis work.
+    #[derive(Clone, Debug, PartialEq)]
+    pub(super) enum Work {
+        /// One [`rank_touched`] call: the touched ids, how many rank above
+        /// +0.0, and the support asked for.
+        Ranking {
+            touched: usize,
+            above: usize,
+            support: usize,
+        },
+        /// One [`rank_neighbors`] selection over `candidates` ids.
+        Select { candidates: usize },
+        /// One whole-epoch nearest scan, keeping `len` ids.
+        NearestScan { len: usize },
+        /// One sort of `values` probabilities for the diagnosis.
+        DiagnosisSort { values: usize },
+    }
+
+    thread_local! {
+        static TALLY: std::cell::RefCell<Vec<Work>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// Record one unit of ranking or diagnosis work on this thread.
+    pub(super) fn tally(work: Work) {
+        TALLY.with(|t| t.borrow_mut().push(work));
+    }
+
+    /// The ranking and diagnosis work `run` did on this thread, in order.
+    fn counted<T>(run: impl FnOnce() -> T) -> (T, Vec<Work>) {
+        TALLY.with(|t| t.borrow_mut().clear());
+        let out = run();
+        (out, TALLY.with(|t| t.take()))
     }
 
     thread_local! {
@@ -1331,6 +1608,12 @@ mod tests {
     }
 
     fn planted() -> (Vec<Vec<f64>>, Vec<f64>) {
+        planted_sized(30, 170)
+    }
+
+    /// `cluster` points tight in dims (0, 1, 2) around the query, then
+    /// `background` uniform ones, in 8-D.
+    fn planted_sized(cluster: usize, background: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut state = 0xDA3E39CB94B95BDBu64;
         let mut unif = move || {
             state ^= state << 13;
@@ -1339,17 +1622,109 @@ mod tests {
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let mut pts = Vec::new();
-        for _ in 0..30 {
+        for _ in 0..cluster {
             let mut p: Vec<f64> = (0..8).map(|_| unif() * 100.0).collect();
             for coord in p.iter_mut().take(3) {
                 *coord = 50.0 + (unif() - 0.5) * 3.0;
             }
             pts.push(p);
         }
-        for _ in 0..170 {
+        for _ in 0..background {
             pts.push((0..8).map(|_| unif() * 100.0).collect());
         }
         (pts, vec![50.0; 8])
+    }
+
+    /// A `Linear { budget: 400 }` session over N rows and over the same
+    /// rows followed by N far-away ones ranks the same ids with the same
+    /// probabilities and the same work: ranking and diagnosis read the
+    /// 400 candidates, and the one whole-epoch scan runs at most once,
+    /// only when fewer than `s` candidates rank above +0.0.
+    #[test]
+    fn ranking_a_seeded_session_costs_its_budget_not_the_epoch() {
+        let (pts, q) = planted_sized(60, 940);
+        let n = pts.len();
+        let mut doubled = pts.clone();
+        doubled.extend(
+            pts.iter()
+                .map(|p| p.iter().map(|v| v + 1e4).collect::<Vec<f64>>()),
+        );
+        let cfg = config().with_candidate_source(crate::CandidateSource::Linear { budget: 400 });
+        for label in ["heuristic", "discard-all"] {
+            let user = || -> Box<dyn UserModel> {
+                match label {
+                    "heuristic" => Box::new(HeuristicUser::default()),
+                    _ => Box::new(
+                        hinn_user::ScriptedUser::new([]).with_fallback(UserResponse::Discard),
+                    ),
+                }
+            };
+            let run = |rows: &[Vec<f64>]| {
+                let dh = handle(rows);
+                counted(|| {
+                    let (engine, step) = SessionEngine::start(cfg.clone(), &dh, &q).expect("start");
+                    drive_to_done(engine, step, user().as_mut())
+                })
+            };
+            let ((small, work), (big, big_work)) = (run(&pts), run(&doubled));
+            assert_dense_exact(&small, &pts, &q);
+            assert_dense_exact(&big, &doubled, &q);
+            assert_eq!(small.neighbors, big.neighbors, "{label}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&small.probabilities), bits(&big.probabilities[..n]));
+            assert!(big.probabilities[n..].iter().all(|p| p.to_bits() == 0));
+            assert_eq!(
+                work, big_work,
+                "{label}: the work depends on the epoch's size"
+            );
+
+            let rankings: Vec<(usize, usize, usize)> = work
+                .iter()
+                .filter_map(|w| match *w {
+                    Work::Ranking {
+                        touched,
+                        above,
+                        support,
+                    } => Some((touched, above, support)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                rankings.len(),
+                small.majors_run + 1,
+                "{label}: a ranking per major and the finish"
+            );
+            assert!(
+                rankings.iter().all(|&(touched, ..)| touched == 400),
+                "{label}"
+            );
+            for w in &work {
+                if let Work::Select { candidates } | Work::DiagnosisSort { values: candidates } = *w
+                {
+                    assert!(candidates <= 400, "{label}: {w:?}");
+                }
+            }
+            // The scan follows the first ranking short of `s` positives,
+            // and no other.
+            let scans: Vec<usize> = (0..work.len())
+                .filter(|&i| matches!(work[i], Work::NearestScan { .. }))
+                .collect();
+            let short = work.iter().position(
+                |w| matches!(*w, Work::Ranking { above, support, .. } if above < support),
+            );
+            match short {
+                None => assert!(scans.is_empty(), "{label}: {work:?}"),
+                Some(at) => {
+                    assert_eq!(scans.len(), 1, "{label}: {work:?}");
+                    // Only block 1's selection runs in between.
+                    assert_eq!(scans[0], at + 2, "{label}: {work:?}");
+                    assert_eq!(work[scans[0]], Work::NearestScan { len: 30 + 400 });
+                }
+            }
+            if label == "discard-all" {
+                assert!(rankings.len() >= 3 && rankings.iter().all(|&(_, above, _)| above == 0));
+            }
+        }
     }
 
     fn config() -> SearchConfig {
@@ -1378,6 +1753,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Require `outcome`'s ranking and diagnosis to be the dense ones over
+    /// every id of `pts`.
+    fn assert_dense_exact(outcome: &SearchOutcome, pts: &[Vec<f64>], q: &[f64]) {
+        let p = &outcome.probabilities;
+        let dist_sq: Vec<f64> = pts
+            .iter()
+            .map(|x| hinn_linalg::vector::dist_sq(x, q))
+            .collect();
+        let dense = rank_neighbors(
+            (0..p.len()).collect(),
+            p,
+            &dist_sq,
+            outcome.effective_support,
+        );
+        assert_eq!(outcome.neighbors, dense);
+        let mut sorted = p.clone();
+        sorted.sort_by(|a, b| b.total_cmp(a));
+        let diagnosis =
+            SearchDiagnosis::derive_sorted(&sorted, &outcome.transcript, &DropConfig::default());
+        assert_eq!(outcome.diagnosis, diagnosis);
+    }
+
+    /// A resumed engine ranks every id with mass, also one outside its
+    /// alive set and its seed: it rebuilds its touched ids from the
+    /// snapshot.
+    #[test]
+    fn a_resumed_engine_ranks_mass_outside_its_alive_set() {
+        let (pts, q) = planted();
+        let dh = handle(&pts);
+        let cfg = config().with_candidate_source(crate::CandidateSource::Linear { budget: 100 });
+        let mut user = HeuristicUser::default();
+        let (mut engine, mut step) = SessionEngine::start(cfg.clone(), &dh, &q).expect("start");
+        while engine.majors_run() == 0 {
+            let req = step.view().expect("a second major").clone();
+            step = engine
+                .submit(user.respond(req.profile(), req.context()))
+                .expect("submit");
+        }
+        let mut state = snapshot::parse(&engine.snapshot().expect("snapshot")).expect("parse");
+        let far = (0..pts.len())
+            .max_by(|&a, &b| {
+                let d = |i: usize| hinn_linalg::vector::dist_sq(&pts[i], &q);
+                d(a).total_cmp(&d(b))
+            })
+            .expect("points");
+        assert!(!state.alive.contains(&far), "the farthest point was seeded");
+        state.p_sum[far] = 5.0;
+        let tampered = snapshot::render(&state);
+        let (resumed, step) = SessionEngine::resume(cfg, &dh, &tampered).expect("resume");
+        let outcome = drive_to_done(resumed, step, &mut user);
+        assert_eq!(outcome.neighbors[0], far);
+        assert_dense_exact(&outcome, &pts, &q);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::config::SearchConfig;
 use crate::degrade::DegradationLog;
 use crate::diagnosis::SearchDiagnosis;
-use crate::engine::{SessionEngine, Step};
+use crate::engine::{first_k_sorted, SessionEngine, Step};
 use crate::error::HinnError;
 use crate::transcript::Transcript;
 use hinn_data::{DatasetHandle, EpochSnapshot};
@@ -50,19 +50,18 @@ impl SearchOutcome {
     pub fn natural_neighbors(&self) -> Option<Vec<usize>> {
         match self.diagnosis {
             SearchDiagnosis::Meaningful { natural_k, .. } => {
-                let mut order: Vec<usize> = (0..self.probabilities.len()).collect();
                 // Probabilities are non-negative, so `total_cmp` coincides
                 // with the old partial order; unlike the old
                 // `partial_cmp().expect()`, a NaN probability (poisoned
                 // upstream data) sorts deterministically instead of
-                // panicking mid-ranking.
-                order.sort_by(|&a, &b| {
-                    self.probabilities[b]
-                        .total_cmp(&self.probabilities[a])
-                        .then(a.cmp(&b))
-                });
-                order.truncate(natural_k);
-                Some(order)
+                // panicking mid-ranking. The order is total, so selecting
+                // the top `natural_k` and sorting only those is exactly the
+                // head of the full sort.
+                let p = &self.probabilities;
+                let ids = (0..p.len()).collect();
+                Some(first_k_sorted(ids, natural_k, |&a, &b| {
+                    p[b].total_cmp(&p[a]).then(a.cmp(&b))
+                }))
             }
             SearchDiagnosis::NotMeaningful { .. } => None,
         }
@@ -450,6 +449,35 @@ mod tests {
         };
         let order = outcome.natural_neighbors().expect("meaningful");
         assert_eq!(order, vec![1, 2, 3, 0], "NaN first, then descending");
+    }
+
+    #[test]
+    fn natural_neighbors_are_the_head_of_the_full_sort() {
+        // Ties, NaN of both signs, zeros of both signs and every cut.
+        let masses = [0.0, -0.0, 0.5, 0.9, f64::NAN, -f64::NAN, 0.9, 0.2];
+        let probabilities: Vec<f64> = (0..97).map(|i| masses[i * 7 % masses.len()]).collect();
+        let mut full: Vec<usize> = (0..probabilities.len()).collect();
+        full.sort_by(|&a, &b| {
+            probabilities[b]
+                .total_cmp(&probabilities[a])
+                .then(a.cmp(&b))
+        });
+        for natural_k in 0..=probabilities.len() + 2 {
+            let outcome = SearchOutcome {
+                neighbors: vec![],
+                probabilities: probabilities.clone(),
+                transcript: Transcript::default(),
+                diagnosis: SearchDiagnosis::Meaningful {
+                    natural_k,
+                    gap: 0.5,
+                    top_mean: 0.9,
+                },
+                majors_run: 1,
+                effective_support: 4,
+            };
+            let head = &full[..natural_k.min(full.len())];
+            assert_eq!(outcome.natural_neighbors().expect("meaningful"), head);
+        }
     }
 
     #[test]

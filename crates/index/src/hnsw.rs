@@ -454,9 +454,10 @@ impl Hnsw {
     /// The result shares every neighbor list the new rows leave alone with
     /// `self`, so the copying is O(Δ): the lists the new nodes link into
     /// (counted as `index.lists_copied`). What stays O(N) is a
-    /// reference-count bump per list and chunk, a copy of the 9-byte
-    /// per-node offsets, levels and poison flags, and the build's visited
-    /// set.
+    /// reference-count bump per list and chunk and a copy of the 9-byte
+    /// per-node offsets, levels and poison flags. The visited set is the
+    /// thread's search scratch, which only grows: an extension adds at most
+    /// its new ids to it.
     ///
     /// # Panics
     /// Panics if `rows` do not begin with the graph's rows.

@@ -70,22 +70,29 @@ impl DropVerdict {
 }
 
 /// Detect the steep drop in a set of meaningfulness probabilities
-/// (unsorted; the function sorts internally, descending).
+/// (unsorted): sorts them descending, then runs
+/// [`detect_steep_drop_sorted`].
 ///
 /// Returns [`DropVerdict::NotMeaningful`] when no qualifying cliff exists —
 /// either the probabilities decay gradually (uniform-like data) or the top
 /// points are not confident enough.
 pub fn detect_steep_drop(probabilities: &[f64], config: &DropConfig) -> DropVerdict {
-    if probabilities.len() < 2 {
-        return DropVerdict::NotMeaningful { best_gap: 0.0 };
-    }
     let mut sorted: Vec<f64> = probabilities.to_vec();
     // Descending. Probabilities are non-negative, so `total_cmp` matches
     // the old partial order; a poisoned (NaN) probability sorts to the
     // top, where its NaN gaps and top-mean fail every threshold below —
     // the verdict degrades to NotMeaningful instead of panicking.
     sorted.sort_by(|a, b| b.total_cmp(a));
+    detect_steep_drop_sorted(&sorted, config)
+}
 
+/// [`detect_steep_drop`] over probabilities already sorted descending by
+/// `total_cmp`: one scan, no copy. A caller that holds its probabilities
+/// in sorted runs passes their concatenation and skips the sort.
+pub fn detect_steep_drop_sorted(sorted: &[f64], config: &DropConfig) -> DropVerdict {
+    if sorted.len() < 2 {
+        return DropVerdict::NotMeaningful { best_gap: 0.0 };
+    }
     let horizon =
         ((sorted.len() as f64 * config.max_fraction).ceil() as usize).clamp(1, sorted.len() - 1);
     let window = config

@@ -25,7 +25,7 @@ pub mod rank;
 
 pub use accuracy::{classification_accuracy, majority_label};
 pub use contrast::{epsilon_instability, relative_contrast, DistanceStats};
-pub use drop::{detect_steep_drop, DropConfig, DropVerdict};
+pub use drop::{detect_steep_drop, detect_steep_drop_sorted, DropConfig, DropVerdict};
 pub use normal::normal_cdf;
 pub use pr::PrecisionRecall;
 pub use rank::{kendall_tau, spearman_rho, top_k_overlap};

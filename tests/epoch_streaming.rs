@@ -16,11 +16,12 @@
 //!    explicitly rebasing both work.
 
 use hinn::core::{
-    DatasetHandle, HinnError, InteractiveSearch, Parallelism, RunOptions, SearchConfig,
-    SearchOutcome, SessionEngine, SessionSnapshot, Step,
+    CandidateSource, DatasetHandle, HinnError, InteractiveSearch, Parallelism, RunOptions,
+    SearchConfig, SearchOutcome, SessionEngine, SessionSnapshot, Step,
 };
 use hinn::par::SERIAL_CUTOFF;
-use hinn::user::{HeuristicUser, UserModel};
+use hinn::user::{HeuristicUser, ScriptedUser, UserModel, UserResponse};
+use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard};
 
 /// Held for the whole of each test. The telemetry recorder is
@@ -192,4 +193,129 @@ fn epoch_mismatch_round_trips_through_session_snapshot() {
         SessionEngine::resume_rebased(cfg(), pinned, moved.clone(), &snap).expect("rebase");
     assert_eq!(engine.dataset_epoch().0, moved.epoch());
     assert!(matches!(step, Step::NeedResponse(_)));
+}
+
+/// Drive `engine` to completion, snapshotting it and resuming the text on
+/// `snap` before every response when `resume` is set.
+fn finish(
+    mut engine: SessionEngine,
+    mut step: Step,
+    snap: &Arc<hinn::data::EpochSnapshot>,
+    cfg: &SearchConfig,
+    resume: bool,
+    user: &mut dyn UserModel,
+) -> SearchOutcome {
+    loop {
+        match step {
+            Step::Done(outcome) => return *outcome,
+            Step::NeedResponse(req) => {
+                let (engine_now, req) = if resume {
+                    let text = engine.snapshot().expect("snapshot").to_string();
+                    let parsed = SessionSnapshot::from_text(text).expect("parse snapshot");
+                    let (resumed, again) =
+                        SessionEngine::resume_at(cfg.clone(), snap.clone(), &parsed)
+                            .expect("resume on the rebased epoch");
+                    (resumed, again.view().expect("resumed at a view").clone())
+                } else {
+                    (engine, req)
+                };
+                engine = engine_now;
+                let r = user.respond(req.profile(), req.context());
+                step = engine.submit(r).expect("submit");
+            }
+        }
+    }
+}
+
+/// A seeded session rebased onto a moved epoch (rows appended near the
+/// query, candidates deleted) and then resumed at every view finishes
+/// byte-identically to the rebased session left alone. The rebase and
+/// every resume rebuild the ids the session ranks from; the appended rows
+/// join with zero mass, so a user who discards every view gets them back
+/// from the ids nearest the query over the new epoch.
+#[test]
+fn a_rebased_seeded_session_resumes_at_every_view_byte_identically() {
+    let _sessions = exclusive();
+    let points = cloud(SERIAL_CUTOFF + 42, 6, 0x5EED);
+    let query = points[0].clone();
+    let cfg = config(Parallelism::fixed(1))
+        .with_candidate_source(CandidateSource::Linear { budget: 200 });
+    let users: [fn() -> Box<dyn UserModel>; 2] = [
+        || Box::new(HeuristicUser::default()),
+        || Box::new(ScriptedUser::new([]).with_fallback(UserResponse::Discard)),
+    ];
+    for (u, make_user) in users.into_iter().enumerate() {
+        let handle = DatasetHandle::new(&points).expect("handle");
+        let pinned = handle.snapshot();
+        let (mut engine, mut step) =
+            SessionEngine::start(cfg.clone(), &handle, &query).expect("start");
+        let mut user = make_user();
+        // Answer the first major's views, so the snapshot carries mass.
+        for _ in 0..3 {
+            let req = step.view().expect("fixture session too short").clone();
+            step = engine
+                .submit(user.respond(req.profile(), req.context()))
+                .expect("submit");
+        }
+        let snap = SessionSnapshot::from_text(engine.snapshot().expect("snapshot").to_string())
+            .expect("parse snapshot");
+        drop(engine);
+
+        // Rows at the query join; the session's three nearest candidates
+        // and two far ones leave.
+        let near: Vec<Vec<f64>> = (1..=3)
+            .map(|k| query.iter().map(|v| v + 1e-3 * k as f64).collect())
+            .collect();
+        let first_new = pinned.appended_len();
+        handle.append(&near).expect("append");
+        let mut by_dist: Vec<usize> = (0..points.len()).collect();
+        by_dist.sort_by(|&a, &b| {
+            let d = |i: usize| -> f64 {
+                points[i]
+                    .iter()
+                    .zip(&query)
+                    .map(|(x, y)| (x - y) * (x - y))
+                    .sum()
+            };
+            d(a).total_cmp(&d(b)).then(a.cmp(&b))
+        });
+        handle
+            .delete(&[
+                by_dist[1],
+                by_dist[2],
+                by_dist[3],
+                by_dist[150],
+                by_dist[199],
+            ])
+            .expect("delete");
+        let onto = handle.snapshot();
+
+        let rebase = || {
+            SessionEngine::resume_rebased(cfg.clone(), pinned.clone(), onto.clone(), &snap)
+                .expect("rebase")
+        };
+        let (engine, step) = rebase();
+        let alone = finish(engine, step, &onto, &cfg, false, make_user().as_mut());
+        let (engine, step) = rebase();
+        let resumed = finish(engine, step, &onto, &cfg, true, make_user().as_mut());
+        assert_eq!(
+            bits(&alone),
+            bits(&resumed),
+            "user {u}: resumes changed the outcome"
+        );
+        assert_eq!(
+            format!("{:?}", alone.diagnosis),
+            format!("{:?}", resumed.diagnosis)
+        );
+        if u == 1 {
+            let joined: Vec<usize> = (first_new..first_new + near.len())
+                .map(|gid| onto.dense_index_of(gid).expect("appended row is alive"))
+                .collect();
+            assert!(
+                joined.iter().all(|id| alone.neighbors.contains(id)),
+                "the appended rows at the query are missing from {:?}",
+                alone.neighbors
+            );
+        }
+    }
 }

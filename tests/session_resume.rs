@@ -12,9 +12,15 @@
 //! An uninterrupted session replays the views of a major that dropped no
 //! point; a resumed engine has no record of earlier views and recomputes
 //! every one of them.
+//!
+//! An index-seeded session ranks from its candidates alone. A fresh engine
+//! takes them from the seed; a resumed one rebuilds them from the snapshot
+//! (the alive ids and every id with probability mass), so the seeded
+//! sources are resumed at every view too.
 
 use hinn::core::{
-    DatasetHandle, Parallelism, SearchConfig, SearchOutcome, SessionEngine, SessionSnapshot, Step,
+    CandidateSource, DatasetHandle, Parallelism, SearchConfig, SearchOutcome, SessionEngine,
+    SessionSnapshot, Step,
 };
 use hinn::par::SERIAL_CUTOFF;
 use hinn::user::{HeuristicUser, ScriptedUser, UserModel, UserResponse};
@@ -72,10 +78,10 @@ fn transcript_text(o: &SearchOutcome) -> String {
 fn uninterrupted(
     data: &DatasetHandle,
     query: &[f64],
-    par: Parallelism,
+    cfg: SearchConfig,
     user: &mut dyn UserModel,
 ) -> SearchOutcome {
-    let (mut engine, mut step) = SessionEngine::start(config(par), data, query).expect("start");
+    let (mut engine, mut step) = SessionEngine::start(cfg, data, query).expect("start");
     loop {
         match step {
             Step::Done(outcome) => return *outcome,
@@ -89,17 +95,16 @@ fn uninterrupted(
 
 /// Run the same session, but at every suspension point serialize the
 /// engine to text, drop it, and resume from the parsed text under
-/// `resume_par` — exercising snapshot/restore at every view and proving
+/// `resume_cfg` — exercising snapshot/restore at every view and proving
 /// the thread budget is a resume-time free choice.
 fn interrupted_at_every_view(
     data: &DatasetHandle,
     query: &[f64],
-    start_par: Parallelism,
-    resume_par: Parallelism,
+    start_cfg: SearchConfig,
+    resume_cfg: SearchConfig,
     user: &mut dyn UserModel,
 ) -> (SearchOutcome, usize) {
-    let (mut engine, mut step) =
-        SessionEngine::start(config(start_par), data, query).expect("start");
+    let (mut engine, mut step) = SessionEngine::start(start_cfg, data, query).expect("start");
     let mut resumes = 0;
     loop {
         match step {
@@ -111,7 +116,7 @@ fn interrupted_at_every_view(
                 drop(engine);
                 let snap = SessionSnapshot::from_text(text).expect("parse snapshot");
                 let restored =
-                    SessionEngine::resume(config(resume_par), data, &snap).expect("resume");
+                    SessionEngine::resume(resume_cfg.clone(), data, &snap).expect("resume");
                 engine = restored.0;
                 resumes += 1;
                 // The recomputed pending view must be the very view we
@@ -151,7 +156,7 @@ fn resume_at_every_view_is_byte_identical_across_budgets() {
     let reference = uninterrupted(
         &data,
         &query,
-        Parallelism::fixed(1),
+        config(Parallelism::fixed(1)),
         &mut HeuristicUser::default(),
     );
     let want = transcript_text(&reference);
@@ -159,8 +164,8 @@ fn resume_at_every_view_is_byte_identical_across_budgets() {
         let (outcome, resumes) = interrupted_at_every_view(
             &data,
             &query,
-            Parallelism::fixed(start_t),
-            Parallelism::fixed(resume_t),
+            config(Parallelism::fixed(start_t)),
+            config(Parallelism::fixed(resume_t)),
             &mut HeuristicUser::default(),
         );
         assert!(resumes > 0, "the session never suspended");
@@ -197,13 +202,18 @@ fn replayed_majors_equal_recomputed_ones() {
         let make_user = || ScriptedUser::new([]).with_fallback(response.clone());
         for threads in [1, 4] {
             let par = Parallelism::fixed(threads);
-            let replayed = uninterrupted(&data, &query, par, &mut make_user());
+            let replayed = uninterrupted(&data, &query, config(par), &mut make_user());
             assert!(
                 has_replayed_major(&replayed),
                 "{label}, {threads} threads: no major repeats its predecessor's candidates"
             );
-            let (recomputed, resumes) =
-                interrupted_at_every_view(&data, &query, par, par, &mut make_user());
+            let (recomputed, resumes) = interrupted_at_every_view(
+                &data,
+                &query,
+                config(par),
+                config(par),
+                &mut make_user(),
+            );
             assert!(resumes > 0, "the session never suspended");
             assert_eq!(
                 transcript_text(&recomputed),
@@ -218,6 +228,54 @@ fn replayed_majors_equal_recomputed_ones() {
                 format!("{:?}", recomputed.transcript.degradations.events),
                 format!("{:?}", replayed.transcript.degradations.events),
                 "{label}, {threads} threads: degradation logs differ"
+            );
+        }
+    }
+}
+
+/// HNSW- and linear-seeded sessions, resumed at every view across thread
+/// budgets, match the uninterrupted session byte for byte. The users
+/// cover both ways a ranking reads its candidates: a heuristic one gives
+/// mass to some of them, and one that discards every view leaves all at
+/// +0.0, so every ranking reads the ids nearest the query.
+#[test]
+fn seeded_sessions_resume_at_every_view_byte_identically() {
+    let points = cloud(SERIAL_CUTOFF + 42, 6, 0x5EED);
+    let query = points[0].clone();
+    let data = DatasetHandle::new(&points).expect("dataset");
+    for source in [
+        CandidateSource::hnsw(300),
+        CandidateSource::Linear { budget: 300 },
+    ] {
+        // Four majors: a later one drops ids that earlier ones gave mass,
+        // and a resumed engine must still rank them.
+        let cfg = |threads| SearchConfig {
+            max_major_iterations: 4,
+            min_major_iterations: 4,
+            ..config(Parallelism::fixed(threads)).with_candidate_source(source.clone())
+        };
+        let users: [fn() -> Box<dyn UserModel>; 2] = [
+            || Box::new(HeuristicUser::default()),
+            || Box::new(ScriptedUser::new([]).with_fallback(UserResponse::Discard)),
+        ];
+        for make_user in users {
+            let reference = uninterrupted(&data, &query, cfg(1), make_user().as_mut());
+            assert_eq!(
+                reference.transcript.majors[0].n_points_before, 300,
+                "{source:?}: the session did not run on its seed"
+            );
+            let (outcome, resumes) =
+                interrupted_at_every_view(&data, &query, cfg(1), cfg(4), make_user().as_mut());
+            assert!(resumes > 0, "the session never suspended");
+            assert_eq!(
+                transcript_text(&outcome),
+                transcript_text(&reference),
+                "{source:?}: the resumed transcript diverged"
+            );
+            assert_eq!(bits(&outcome.probabilities), bits(&reference.probabilities));
+            assert_eq!(
+                format!("{:?}", outcome.diagnosis),
+                format!("{:?}", reference.diagnosis)
             );
         }
     }
