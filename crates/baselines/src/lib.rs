@@ -34,9 +34,6 @@ pub mod vafile;
 pub use classifier::knn_classify;
 pub use distinctiveness::distinctiveness_knn;
 pub use hinn_par::Parallelism;
-pub use knn::{
-    knn_indices, knn_indices_by, knn_indices_cols, knn_indices_cols_batch, knn_indices_cols_with,
-    knn_indices_in_subspace, knn_indices_in_subspace_with, knn_indices_with, Metric,
-};
+pub use knn::{knn_indices, knn_indices_by, knn_indices_in_subspace, knn_indices_with, Metric};
 pub use projected_nn::{projected_knn, ProjectedNnConfig};
 pub use vafile::{VaFile, VaQueryStats};

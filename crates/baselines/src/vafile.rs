@@ -53,28 +53,33 @@ pub struct VaQueryStats {
 }
 
 impl VaFile {
-    /// Build the index over `points` with `bits` quantization bits per
-    /// dimension (cell boundaries are per-dimension equi-depth quantiles,
-    /// the variant \[27\] recommends for skewed data).
+    /// Build the index over the `n` points `row(0..n)`, wherever they are
+    /// stored, with `bits` quantization bits per dimension (cell
+    /// boundaries are per-dimension equi-depth quantiles, the variant
+    /// \[27\] recommends for skewed data). The index keeps its own flat
+    /// copy of the rows.
     ///
     /// # Panics
-    /// Panics if `points` is empty, rows are ragged, or
+    /// Panics if `n` is zero, rows are ragged, or
     /// `bits` is not in `1..=8`.
-    pub fn build(points: Vec<Vec<f64>>, bits: u32) -> Self {
-        assert!(!points.is_empty(), "VaFile: empty point set");
+    pub fn build<'a>(n: usize, row: impl Fn(usize) -> &'a [f64], bits: u32) -> Self {
+        assert!(n > 0, "VaFile: empty point set");
         assert!((1..=8).contains(&bits), "VaFile: bits must be in 1..=8");
-        let dim = points[0].len();
+        let dim = row(0).len();
         assert!(dim > 0, "VaFile: zero-dimensional points");
-        assert!(
-            points.iter().all(|p| p.len() == dim),
-            "VaFile: ragged point set"
-        );
+        let mut flat = Vec::with_capacity(n * dim);
+        for i in 0..n {
+            let p = row(i);
+            assert!(p.len() == dim, "VaFile: ragged point set");
+            flat.extend_from_slice(p);
+        }
+        let points = flat.chunks_exact(dim);
         let cells = 1usize << bits;
 
         // Equi-depth boundaries per dimension.
         let mut bounds = Vec::with_capacity(dim);
         for j in 0..dim {
-            let mut col: Vec<f64> = points.iter().map(|p| p[j]).collect();
+            let mut col: Vec<f64> = points.clone().map(|p| p[j]).collect();
             // `total_cmp` keeps the sort total on poisoned data: NaN
             // coordinates collect at the extremes deterministically. The
             // boundaries themselves must stay finite — a NaN outer edge
@@ -105,18 +110,13 @@ impl VaFile {
         }
 
         // Signatures.
-        let mut cell_ids = Vec::with_capacity(points.len() * dim);
-        let mut poisoned = Vec::with_capacity(points.len());
-        for p in &points {
+        let mut cell_ids = Vec::with_capacity(n * dim);
+        let mut poisoned = Vec::with_capacity(n);
+        for p in points {
             for j in 0..dim {
                 cell_ids.push(cell_of(&bounds[j], p[j]) as u16);
             }
             poisoned.push(p.iter().any(|v| v.is_nan()));
-        }
-        let n = points.len();
-        let mut flat = Vec::with_capacity(n * dim);
-        for p in &points {
-            flat.extend_from_slice(p);
         }
         Self {
             bits,
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn agrees_with_linear_scan() {
         let pts = random_points(500, 12, 7);
-        let va = VaFile::build(pts.clone(), 4);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 4);
         for qi in [0usize, 123, 400] {
             let q = &pts[qi];
             let (got, _) = va.knn(q, 10);
@@ -364,7 +364,7 @@ mod tests {
         // agrees with the linear scan, which applies the same policy.
         let mut pts = random_points(120, 6, 21);
         pts[7][1] = f64::NAN;
-        let va = VaFile::build(pts.clone(), 4);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 4);
         for qi in [0usize, 50, 100] {
             let q = pts[qi].clone();
             let (got, _) = va.knn(&q, 8);
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn agrees_for_external_queries() {
         let pts = random_points(300, 8, 11);
-        let va = VaFile::build(pts.clone(), 5);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 5);
         let queries = random_points(10, 8, 99);
         for q in &queries {
             let (got, stats) = va.knn(q, 7);
@@ -406,7 +406,7 @@ mod tests {
             }
             pts.push(q);
         }
-        let va = VaFile::build(pts.clone(), 6);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 6);
         let query = vec![1.0; 6];
         let (_, stats) = va.knn(&query, 10);
         assert!(
@@ -422,7 +422,7 @@ mod tests {
         // Lower bound ≤ exact ≤ upper bound for every point (checked via a
         // white-box reconstruction of the filter phase).
         let pts = random_points(200, 5, 13);
-        let va = VaFile::build(pts.clone(), 3);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 3);
         let query = vec![50.0; 5];
         let cells = 1usize << va.bits();
         for (i, p) in pts.iter().enumerate() {
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn k_edge_cases() {
         let pts = random_points(20, 4, 17);
-        let va = VaFile::build(pts.clone(), 4);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 4);
         let q = vec![0.0; 4];
         let (zero, stats) = va.knn(&q, 0);
         assert!(zero.is_empty());
@@ -469,7 +469,7 @@ mod tests {
     fn duplicate_coordinates_are_handled() {
         // Constant dimension → all boundaries equal (empty cells).
         let pts: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, 5.0]).collect();
-        let va = VaFile::build(pts.clone(), 4);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 4);
         let (got, _) = va.knn(&[10.2, 5.0], 3);
         let want = knn_indices(&pts, &[10.2, 5.0], 3, Metric::L2);
         assert_eq!(got, want);
@@ -478,13 +478,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "bits must be in 1..=8")]
     fn invalid_bits_panics() {
-        VaFile::build(vec![vec![0.0]], 0);
+        VaFile::build(1, |_| &[0.0], 0);
     }
 
     #[test]
     #[should_panic(expected = "query dimensionality")]
     fn query_dim_mismatch_panics() {
-        let va = VaFile::build(vec![vec![0.0, 0.0]], 4);
+        let va = VaFile::build(1, |_| &[0.0, 0.0], 4);
         va.knn(&[0.0], 1);
     }
 }

@@ -96,7 +96,7 @@ proptest! {
         k in 1usize..15,
         bits in 1u32..7,
     ) {
-        let va = VaFile::build(pts.clone(), bits);
+        let va = VaFile::build(pts.len(), |i| &pts[i], bits);
         let (got, stats) = va.knn(&q, k);
         let want = knn_indices(&pts, &q, k, Metric::L2);
         // Index sets must agree; exact order can differ only on ties, so

@@ -118,7 +118,7 @@ fn bench_vafile(c: &mut Criterion) {
     group.bench_function("linear_scan", |b| {
         b.iter(|| knn_indices(black_box(&pts), black_box(&q), 25, Metric::L2))
     });
-    let va = VaFile::build(pts.clone(), 6);
+    let va = VaFile::build(pts.len(), |i| &pts[i], 6);
     group.bench_function("vafile_b6", |b| b.iter(|| va.knn(black_box(&q), 25)));
     group.finish();
 }
@@ -139,7 +139,7 @@ fn bench_vafile_parallel(c: &mut Criterion) {
         }
     }
     let q: Vec<f64> = pts[500].clone();
-    let va = VaFile::build(pts, 6);
+    let va = VaFile::build(pts.len(), |i| &pts[i], 6);
     let mut group = c.benchmark_group("vafile_knn/serial_vs_parallel_60k");
     group.sample_size(10);
     group.bench_function("serial", |b| {

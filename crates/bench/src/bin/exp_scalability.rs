@@ -98,7 +98,7 @@ fn main() {
         }
         let q = pts[42].clone();
         let scan_ms = time(|| drop(knn_indices(&pts, &q, 25, Metric::L2)), 10);
-        let va = VaFile::build(pts.clone(), 6);
+        let va = VaFile::build(pts.len(), |i| &pts[i], 6);
         let (_, stats) = va.knn(&q, 25);
         let va_ms = time(|| drop(va.knn(&q, 25)), 10);
         println!(

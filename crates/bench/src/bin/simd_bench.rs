@@ -1,25 +1,16 @@
-//! **SIMD kernels vs the frozen scalar reference.**
+//! **SIMD KDE kernels vs the frozen scalar reference.**
 //!
-//! Two hot loops got the columnar/SIMD treatment in this change, and this
-//! binary measures both against byte-frozen copies of the code they
-//! replaced — not against a re-run of the new code with SIMD disabled,
-//! so the baseline cannot silently inherit future optimizations:
-//!
-//! 1. **KDE grid accumulation** (`hinn_kde::estimate_grid`): the old
-//!    per-point scalar loop (chunked exactly like the library, so the
-//!    float schedule matches) vs the blocked SIMD path, which runs each
-//!    1 024-point chunk as one backend dispatch. The outputs are asserted
-//!    **bit-identical** first — the speedup must come for free, not from
-//!    a numerics change. Two shapes: `kde_session` is the one every
-//!    session view runs (10 000 points, an 80 × 80 grid, about 5 cells
-//!    of kernel support per axis), `kde` a wide-support 256 × 256 grid.
-//! 2. **Exact kNN scan** (`hinn_baselines`): the row-major
-//!    `knn_indices` scan vs the columnar scans over a
-//!    [`hinn_data::ColumnStore`] — per-query `knn_indices_cols`, and the
-//!    batched `knn_indices_cols_batch` (the headline: one pass over the
-//!    cached columns serves every query, amortizing the memory traffic
-//!    that bounds the single-query scan). Identical neighbor lists
-//!    asserted for both.
+//! The KDE grid accumulation (`hinn_kde::estimate_grid`), which every
+//! session view runs, is measured against a byte-frozen copy of the code
+//! it replaced — not against a re-run of the new code with SIMD disabled,
+//! so the baseline cannot silently inherit future optimizations. The
+//! frozen per-point scalar loop is chunked exactly like the library, so
+//! the float schedule matches; the library runs each 1 024-point chunk as
+//! one backend dispatch. The outputs are asserted **bit-identical** first
+//! — the speedup must come for free, not from a numerics change. Two
+//! shapes: `kde_session` is the one every session view runs (10 000
+//! points, an 80 × 80 grid, about 5 cells of kernel support per axis),
+//! `kde` a wide-support 256 × 256 grid.
 //!
 //! ```sh
 //! cargo run --release -p hinn-bench --bin simd_bench            # full
@@ -28,11 +19,9 @@
 //!
 //! Output: `BENCH_simd.json` (override with `--out <path>`), stamped with
 //! the git rev, `nproc`, the backend and `HINN_THREADS`. In full mode the
-//! binary exits nonzero unless the wide-support KDE and the batched kNN
-//! speedups are both ≥ 2×.
+//! binary exits nonzero unless the wide-support KDE speedup is ≥ 2×.
 
 use hinn_bench::banner;
-use hinn_data::ColumnStore;
 use hinn_kde::{gaussian_kernel, Bandwidth2D, GridSpec};
 use std::time::Instant;
 
@@ -68,24 +57,22 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Seeded Gaussian mixture (Box–Muller), identical to `index_bench`'s.
-fn gaussian_mixture(n: usize, d: usize, n_clusters: usize, sigma: f64, seed: u64) -> Vec<Vec<f64>> {
+/// Seeded 2-D Gaussian mixture (Box–Muller): `index_bench`'s generator
+/// at `d = 2`, the same draws in the same order.
+fn gaussian_mixture(n: usize, n_clusters: usize, sigma: f64, seed: u64) -> Vec<[f64; 2]> {
     let mut next = xorshift(seed);
     let mut unif = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
-    let centers: Vec<Vec<f64>> = (0..n_clusters)
-        .map(|_| (0..d).map(|_| unif() * 100.0).collect())
+    let centers: Vec<[f64; 2]> = (0..n_clusters)
+        .map(|_| [unif() * 100.0, unif() * 100.0])
         .collect();
     (0..n)
         .map(|i| {
-            let c = &centers[i % n_clusters];
-            (0..d)
-                .map(|j| {
-                    let u1 = 1.0 - unif();
-                    let u2 = unif();
-                    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                    c[j] + sigma * z
-                })
-                .collect()
+            centers[i % n_clusters].map(|c| {
+                let u1 = 1.0 - unif();
+                let u2 = unif();
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                c + sigma * z
+            })
         })
         .collect()
 }
@@ -231,23 +218,17 @@ fn main() {
     banner("SIMD kernels vs frozen scalar reference");
     println!("active backend: {}", hinn_linalg::active_backend().name());
 
-    let (kde_n, grid_n, session_n, knn_n, knn_d, n_queries, reps) = if args.smoke {
-        (2_000, 64, 2_000, 5_000, 16, 10, 2)
+    let (kde_n, grid_n, session_n, reps) = if args.smoke {
+        (2_000, 64, 2_000, 2)
     } else {
-        (20_000, 256, 10_000, 100_000, 16, 50, 5)
+        (20_000, 256, 10_000, 5)
     };
 
-    // ------------------------------------------------------------------
-    // 1. KDE grid accumulation.
-    // ------------------------------------------------------------------
     // The session's shape: an 80 × 80 grid and a bandwidth whose 12h
     // truncated support spans about 5 grid steps per axis.
     const SESSION_GRID: usize = 80;
     const SESSION_SUPPORT_CELLS: f64 = 5.0;
-    let session_pts: Vec<[f64; 2]> = gaussian_mixture(session_n, 2, 8, 4.0, 0x51D_0003)
-        .into_iter()
-        .map(|p| [p[0], p[1]])
-        .collect();
+    let session_pts: Vec<[f64; 2]> = gaussian_mixture(session_n, 8, 4.0, 0x51D_0003);
     let session_spec = GridSpec::covering(&session_pts, &[], 0.3, SESSION_GRID);
     let session_bw = Bandwidth2D {
         hx: SESSION_SUPPORT_CELLS * session_spec.dx / 12.0,
@@ -265,10 +246,7 @@ fn main() {
         reps,
     );
 
-    let pts2: Vec<[f64; 2]> = gaussian_mixture(kde_n, 2, 8, 4.0, 0x51D_0001)
-        .into_iter()
-        .map(|p| [p[0], p[1]])
-        .collect();
+    let pts2: Vec<[f64; 2]> = gaussian_mixture(kde_n, 8, 4.0, 0x51D_0001);
     let bw = Bandwidth2D::silverman(&pts2);
     let spec = GridSpec::covering(&pts2, &[], 0.3, grid_n);
     println!(
@@ -277,54 +255,6 @@ fn main() {
     );
     let (scalar_kde_ms, simd_kde_ms) = kde_row("estimate_grid (wide)", &pts2, bw, spec, reps);
     let kde_speedup = scalar_kde_ms / simd_kde_ms;
-
-    // ------------------------------------------------------------------
-    // 2. Exact kNN scan, rows vs columns.
-    // ------------------------------------------------------------------
-    const K: usize = 10;
-    let points = gaussian_mixture(knn_n, knn_d, 16, 6.0, 0x51D_0002);
-    let stride = (knn_n / n_queries).max(1);
-    let queries: Vec<&Vec<f64>> = (0..n_queries).map(|q| &points[q * stride]).collect();
-
-    let t0 = Instant::now();
-    let store = ColumnStore::from_rows(&points);
-    let transpose_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    println!("knn: n={knn_n} d={knn_d}, {n_queries} queries, k={K} (transpose {transpose_ms:.1} ms, once per dataset)");
-
-    let (row_total_ms, exact) = time_best(reps, || {
-        queries
-            .iter()
-            .map(|q| hinn_baselines::knn_indices(&points, q, K, hinn_baselines::Metric::L2))
-            .collect::<Vec<_>>()
-    });
-    let (col_total_ms, cols) = time_best(reps, || {
-        queries
-            .iter()
-            .map(|q| hinn_baselines::knn_indices_cols(&store, q, K, hinn_baselines::Metric::L2))
-            .collect::<Vec<_>>()
-    });
-    let q_refs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-    let (batch_total_ms, batch) = time_best(reps, || {
-        hinn_baselines::knn_indices_cols_batch(&store, &q_refs, K, hinn_baselines::Metric::L2)
-    });
-    assert_eq!(
-        exact, cols,
-        "columnar kNN scan must return exactly the row scan's neighbor lists"
-    );
-    assert_eq!(
-        exact, batch,
-        "batched columnar kNN scan must return exactly the row scan's neighbor lists"
-    );
-    let row_knn_ms = row_total_ms / n_queries as f64;
-    let col_knn_ms = col_total_ms / n_queries as f64;
-    let batch_knn_ms = batch_total_ms / n_queries as f64;
-    let knn_speedup = row_knn_ms / batch_knn_ms;
-    println!(
-        "knn scan: rows {row_knn_ms:.3} ms/query, cols {col_knn_ms:.3} ms/query \
-         ({:.2}×), cols batched {batch_knn_ms:.3} ms/query → {knn_speedup:.2}× \
-         (identical results)",
-        row_knn_ms / col_knn_ms
-    );
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -343,34 +273,22 @@ fn main() {
         json_f64(session_scalar_ms / session_simd_ms)
     ));
     json.push_str(&format!(
-        "  \"kde\": {{\"n_points\": {kde_n}, \"grid\": {grid_n}, \"scalar_ms\": {}, \"simd_ms\": {}, \"speedup\": {}, \"bit_identical\": true}},\n",
+        "  \"kde\": {{\"n_points\": {kde_n}, \"grid\": {grid_n}, \"scalar_ms\": {}, \"simd_ms\": {}, \"speedup\": {}, \"bit_identical\": true}}\n",
         json_f64(scalar_kde_ms),
         json_f64(simd_kde_ms),
         json_f64(kde_speedup)
-    ));
-    json.push_str(&format!(
-        "  \"knn\": {{\"n_points\": {knn_n}, \"dim\": {knn_d}, \"n_queries\": {n_queries}, \"k\": {K}, \"rows_ms_per_query\": {}, \"cols_ms_per_query\": {}, \"cols_batch_ms_per_query\": {}, \"speedup\": {}, \"identical_results\": true, \"transpose_ms\": {}}}\n",
-        json_f64(row_knn_ms),
-        json_f64(col_knn_ms),
-        json_f64(batch_knn_ms),
-        json_f64(knn_speedup),
-        json_f64(transpose_ms)
     ));
     json.push_str("}\n");
     std::fs::write(&args.out, &json).expect("write benchmark JSON");
     println!("wrote {}", args.out);
 
     // Smoke mode (CI) only proves the paths run and stay bit-identical;
-    // the speedup bars are enforced in full mode.
+    // the speedup bar is enforced in full mode.
     if !args.smoke {
         assert!(
             kde_speedup >= 2.0,
             "acceptance bar: estimate_grid SIMD speedup must be ≥2× (got {kde_speedup:.2}×)"
         );
-        assert!(
-            knn_speedup >= 2.0,
-            "acceptance bar: columnar kNN speedup must be ≥2× (got {knn_speedup:.2}×)"
-        );
-        println!("acceptance bars met: kde {kde_speedup:.2}× ≥ 2×, knn {knn_speedup:.2}× ≥ 2×");
+        println!("acceptance bar met: kde {kde_speedup:.2}× ≥ 2×");
     }
 }

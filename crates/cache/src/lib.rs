@@ -1,7 +1,8 @@
 //! Shared dataset artifacts, content fingerprints and buffer pools.
 //!
-//! This crate holds what `hinn-core`, `hinn-kde`, `hinn-serve` and
-//! `hinn-baselines` share so that work is not repeated across queries:
+//! This crate holds what `hinn-data`, `hinn-core`, `hinn-kde`,
+//! `hinn-index` and `hinn-serve` share so that work is not repeated
+//! across queries:
 //!
 //! - [`Fingerprint`]/[`Fnv128`]: 128-bit content fingerprints over the
 //!   exact bit patterns of the inputs. A key is a fingerprint of
@@ -13,7 +14,9 @@
 //!   misses, and evictions are reported through `hinn-obs` as
 //!   `cache.hit` / `cache.miss` / `cache.evict`.
 //! - [`pool`]: thread-local reuse of `Vec<f64>` scratch buffers for the
-//!   KDE hot loop (`p × p` partial grids and kernel row/column scratch).
+//!   KDE hot loop (`p × p` partial grids and kernel row/column scratch)
+//!   and the per-chunk scratch of the projection scan and the view
+//!   coordinates in `hinn-core`.
 //! - [`ArtifactStore`]: a type-erased, insert-once store of derived
 //!   artifacts (the VA-file, the HNSW graph). Each epoch snapshot of a
 //!   dataset handle owns one, so an index is built once per epoch, shared

@@ -149,10 +149,7 @@ impl CandidateSource {
                 knn_indices_by(par, n, |i| snap.alive_row(i), query, k, Metric::L2)
             }
             Self::VaFile { bits, .. } => {
-                let build = || {
-                    let rows = (0..n).map(|i| snap.alive_row(i).to_vec()).collect();
-                    Arc::new(VaFile::build(rows, *bits))
-                };
+                let build = || Arc::new(VaFile::build(n, |i| snap.alive_row(i), *bits));
                 let index =
                     snap.artifacts()
                         .get_or_insert("baselines.vafile", u64::from(*bits), build);

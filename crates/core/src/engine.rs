@@ -1116,16 +1116,22 @@ impl SessionEngine {
     fn rank(&mut self, p: &[f64]) -> Vec<usize> {
         let (snap, query) = (&self.snap, &self.query);
         let touched = self.touched.as_deref().unwrap_or(&self.alive);
-        let dist_sq = self.touched_dist_sq.get_or_insert_with(|| {
+        let dist_sq: &[f64] = self.touched_dist_sq.get_or_insert_with(|| {
             touched
                 .iter()
-                .map(|&i| hinn_linalg::vector::dist_sq(snap.alive_row(i), query))
+                .map(|&i| query_dist_sq(snap, i, query))
                 .collect()
         });
         // The one whole-epoch scan, run only when the +0.0 block is read.
+        // A touched id's distance is already known; `touched` is
+        // ascending, so it is walked in step with the ids.
         let scan = |len| {
+            let mut known = touched.iter().zip(dist_sq).peekable();
             let all = (0..snap.len())
-                .map(|i| (hinn_linalg::vector::dist_sq(snap.alive_row(i), query), i))
+                .map(|i| match known.next_if(|&(&id, _)| id == i) {
+                    Some((_, &d)) => (d, i),
+                    None => (query_dist_sq(snap, i, query), i),
+                })
                 .collect();
             nearest_first(all, len)
         };
@@ -1222,6 +1228,14 @@ fn config_fingerprint(config: &SearchConfig) -> Fingerprint {
     // its `Debug` form is exact (integer fields only).
     h.write_str(&format!("{:?}", config.candidates));
     h.finish()
+}
+
+/// Squared full-space distance from row `id` to the query: the
+/// ranking's tie-break.
+fn query_dist_sq(snap: &EpochSnapshot, id: usize, query: &[f64]) -> f64 {
+    #[cfg(test)]
+    tests::tally(tests::Work::QueryDist { id });
+    hinn_linalg::vector::dist_sq(snap.alive_row(id), query)
 }
 
 /// The ids a resumed session may give a probability other than +0.0,
@@ -1530,6 +1544,8 @@ mod tests {
         NearestScan { len: usize },
         /// One sort of `values` probabilities for the diagnosis.
         DiagnosisSort { values: usize },
+        /// One query distance computed for the ranking, of row `id`.
+        QueryDist { id: usize },
     }
 
     thread_local! {
@@ -1667,6 +1683,7 @@ mod tests {
                 })
             };
             let ((small, work), (big, big_work)) = (run(&pts), run(&doubled));
+            let ((work, dists), (big_work, big_dists)) = (split_dists(work), split_dists(big_work));
             assert_dense_exact(&small, &pts, &q);
             assert_dense_exact(&big, &doubled, &q);
             assert_eq!(small.neighbors, big.neighbors, "{label}");
@@ -1721,10 +1738,63 @@ mod tests {
                     assert_eq!(work[scans[0]], Work::NearestScan { len: 30 + 400 });
                 }
             }
+            // The candidates' distances are computed once, for the first
+            // ranking, and the scan computes only the other rows'.
+            for (ids, rows) in [(&dists, n), (&big_dists, 2 * n)] {
+                let scanned = if scans.is_empty() { 0 } else { rows - 400 };
+                assert_eq!(ids.len(), 400 + scanned, "{label}");
+                let mut distinct = ids.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(
+                    distinct.len(),
+                    ids.len(),
+                    "{label}: a distance computed twice"
+                );
+            }
             if label == "discard-all" {
                 assert!(rankings.len() >= 3 && rankings.iter().all(|&(_, above, _)| above == 0));
             }
         }
+    }
+
+    /// A `Full` session touches every id, so its one scan takes every
+    /// distance from the ranking's: each row's query distance is computed
+    /// once.
+    #[test]
+    fn a_full_session_computes_each_query_distance_once() {
+        let (pts, q) = planted();
+        let dh = handle(&pts);
+        let mut user = hinn_user::ScriptedUser::new([]).with_fallback(UserResponse::Discard);
+        let (outcome, work) = counted(|| {
+            let (engine, step) = SessionEngine::start(config(), &dh, &q).expect("start");
+            drive_to_done(engine, step, &mut user)
+        });
+        assert_dense_exact(&outcome, &pts, &q);
+        let (work, mut ids) = split_dists(work);
+        assert!(
+            work.iter().any(|w| matches!(w, Work::NearestScan { .. })),
+            "{work:?}"
+        );
+        ids.sort_unstable();
+        assert_eq!(ids, (0..pts.len()).collect::<Vec<_>>());
+    }
+
+    /// `work` without its query distances, and the rows those were
+    /// computed for, in order.
+    fn split_dists(work: Vec<Work>) -> (Vec<Work>, Vec<usize>) {
+        let mut ids = Vec::new();
+        let rest = work
+            .into_iter()
+            .filter(|w| match *w {
+                Work::QueryDist { id } => {
+                    ids.push(id);
+                    false
+                }
+                _ => true,
+            })
+            .collect();
+        (rest, ids)
     }
 
     fn config() -> SearchConfig {

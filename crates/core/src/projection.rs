@@ -559,12 +559,7 @@ fn try_find_projection_with_support(
             // to the scalar `vector::dist` per point.
             let len = slice.len();
             let mut dists = hinn_cache::PooledF64::take_zeroed(len);
-            hinn_linalg::simd::dist_sq_cols(
-                &chunk_of(&coord_cols, start, len),
-                &q_coords,
-                &mut dists,
-            );
-            hinn_linalg::simd::sqrt_inplace(&mut dists);
+            hinn_linalg::simd::dist_cols(&chunk_of(&coord_cols, start, len), &q_coords, &mut dists);
             for (off, slot) in slice.iter_mut().enumerate() {
                 *slot = (dists[off], start + off);
             }

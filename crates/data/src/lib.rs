@@ -19,7 +19,6 @@
 //! [`dataset`] defines the common [`Dataset`] container, and [`csv`]
 //! persists datasets as plain CSV for external inspection.
 
-pub mod column_store;
 pub mod csv;
 pub mod dataset;
 pub mod epoch;
@@ -30,7 +29,6 @@ pub mod uci;
 pub mod uci_load;
 pub mod uniform;
 
-pub use column_store::ColumnStore;
 pub use dataset::Dataset;
 pub use epoch::{DatasetHandle, EpochError, EpochSnapshot};
 pub use projected::{generate_projected_clusters, ProjectedClusterSpec};

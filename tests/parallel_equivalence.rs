@@ -101,7 +101,7 @@ fn knn_indices_match_serial_across_budgets() {
 fn vafile_knn_matches_serial_across_budgets() {
     let pts = cloud(SERIAL_CUTOFF + 55, 8, 0xF11E);
     let query = pts[2026].clone();
-    let index = VaFile::build(pts, 4);
+    let index = VaFile::build(pts.len(), |i| &pts[i], 4);
     for k in [1, 12, 40] {
         let (serial_ids, serial_stats) = index.knn(&query, k);
         for t in BUDGETS {
